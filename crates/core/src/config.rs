@@ -1,6 +1,6 @@
 //! The one place `CBRAIN_*` environment variables are read.
 //!
-//! Eleven knobs configure the workspace from the environment. Each has a
+//! Ten knobs configure the workspace from the environment. Each has a
 //! single documented precedence: **CLI flag > environment > default**.
 //! Call sites never touch [`std::env::var`] for these directly — they go
 //! through [`EnvConfig`], which captures the raw environment once and
@@ -18,7 +18,6 @@
 //! | `CBRAIN_FORCE_SCALAR` | [`force_scalar`]                          | `1`/`true`/`on` pins the scalar SIMD fallback  |
 //! | `CBRAIN_TELEMETRY`    | [`telemetry_enabled`]                     | `off`/`0`/`false`/`no` disables span timing    |
 //! | `CBRAIN_METRICS_ADDR` | [`metrics_addr`]                          | default `cbrand --metrics-addr` listen address |
-//! | `CBRAIN_MAX_CONNS`    | [`max_conns`]                             | default `cbrand --max-connections` accept cap  |
 //!
 //! [`persistence_enabled`]: EnvConfig::persistence_enabled
 //! [`cache_file`]: EnvConfig::cache_file
@@ -30,7 +29,6 @@
 //! [`force_scalar`]: EnvConfig::force_scalar
 //! [`telemetry_enabled`]: EnvConfig::telemetry_enabled
 //! [`metrics_addr`]: EnvConfig::metrics_addr
-//! [`max_conns`]: EnvConfig::max_conns
 //!
 //! The struct is a plain snapshot: [`EnvConfig::load`] reads the process
 //! environment, [`EnvConfig::from_lookup`] builds one from any closure so
@@ -93,13 +91,6 @@ pub const ENV_TELEMETRY: &str = cbrain_telemetry::ENV_TELEMETRY;
 /// this; unset or blank means "no exposition listener".
 pub const ENV_METRICS_ADDR: &str = "CBRAIN_METRICS_ADDR";
 
-/// Default cap on concurrently open daemon connections for
-/// `cbrand --max-connections`. Connections arriving past the cap are
-/// answered with `busy` instead of queueing in the kernel backlog. The
-/// flag always beats this; unset, blank, zero or unparsable all mean
-/// "no cap".
-pub const ENV_MAX_CONNS: &str = "CBRAIN_MAX_CONNS";
-
 /// A typed snapshot of every `CBRAIN_*` environment variable (plus the
 /// `XDG_CACHE_HOME`/`HOME` fallbacks that cache-path resolution needs).
 ///
@@ -117,7 +108,6 @@ pub struct EnvConfig {
     force_scalar: Option<String>,
     telemetry: Option<String>,
     metrics_addr: Option<String>,
-    max_conns: Option<String>,
     xdg_cache_home: Option<String>,
     home: Option<String>,
 }
@@ -144,7 +134,6 @@ impl EnvConfig {
             force_scalar: lookup(ENV_FORCE_SCALAR),
             telemetry: lookup(ENV_TELEMETRY),
             metrics_addr: lookup(ENV_METRICS_ADDR),
-            max_conns: lookup(ENV_MAX_CONNS),
             xdg_cache_home: lookup("XDG_CACHE_HOME"),
             home: lookup("HOME"),
         }
@@ -304,17 +293,6 @@ impl EnvConfig {
             .filter(|s| !s.is_empty())
             .map(str::to_owned)
     }
-
-    /// The default connection cap, if any. Same leniency as
-    /// [`EnvConfig::cache_max`]: unset, empty, zero or unparsable all
-    /// mean "uncapped" — a typo'd cap must never refuse every client.
-    #[must_use]
-    pub fn max_conns(&self) -> Option<usize> {
-        self.max_conns
-            .as_deref()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-    }
 }
 
 #[cfg(test)]
@@ -462,20 +440,6 @@ mod tests {
         );
         assert_eq!(config(&[(ENV_METRICS_ADDR, "  ")]).metrics_addr(), None);
         assert_eq!(config(&[]).metrics_addr(), None);
-    }
-
-    #[test]
-    fn max_conns_is_lenient() {
-        assert_eq!(config(&[(ENV_MAX_CONNS, " 500 ")]).max_conns(), Some(500));
-        for bad in ["", "0", "-2", "many"] {
-            assert_eq!(config(&[(ENV_MAX_CONNS, bad)]).max_conns(), None);
-        }
-        assert_eq!(config(&[]).max_conns(), None);
-    }
-
-    #[test]
-    fn max_conns_name_matches_the_daemon_flag() {
-        assert_eq!(ENV_MAX_CONNS, "CBRAIN_MAX_CONNS");
     }
 
     #[test]

@@ -80,14 +80,18 @@ pub struct Connection {
 }
 
 impl Connection {
-    /// Wraps an accepted stream, switching it to non-blocking mode.
+    /// Wraps an accepted stream, switching it to non-blocking mode and
+    /// disabling Nagle's algorithm: a response is a burst of small
+    /// lines, and holding the last one back for the peer's delayed ACK
+    /// stalls every request by tens of milliseconds.
     /// `max_line` caps a single request line (see [`FrameDecoder`]).
     ///
     /// # Errors
     ///
-    /// `set_nonblocking` failures.
+    /// `set_nonblocking` or `set_nodelay` failures.
     pub fn new(stream: TcpStream, max_line: usize) -> io::Result<Self> {
         stream.set_nonblocking(true)?;
+        stream.set_nodelay(true)?;
         Ok(Self {
             stream,
             decoder: FrameDecoder::new(max_line),

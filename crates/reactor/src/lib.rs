@@ -22,9 +22,9 @@
 //!   `EINTR` retry and `Duration` timeouts;
 //! * [`poller`] — [`Poller`], a rebuilt-per-iteration descriptor set
 //!   yielding per-slot [`Readiness`];
-//! * [`waker`] — [`Waker`]/[`WakeHandle`], a socketpair + atomic flag
-//!   so pool workers can nudge a reactor blocked in `poll` (wakeups
-//!   coalesce to one byte per iteration);
+//! * [`waker`] — [`Waker`]/[`WakeHandle`], a socketpair so pool
+//!   workers can nudge a reactor blocked in `poll` (one byte per wake;
+//!   `poll` folds a burst of them into one wakeup);
 //! * [`frame`] — [`FrameDecoder`], incremental NDJSON line framing
 //!   with a hard per-line byte cap;
 //! * [`conn`] — [`Connection`], one non-blocking stream + decoder +

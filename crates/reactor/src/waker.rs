@@ -3,33 +3,32 @@
 //! A reactor blocked in `poll(2)` only notices descriptors; threads
 //! that want its attention (a pool worker with response bytes ready)
 //! write one byte into the write half of a [`UnixStream::pair`] whose
-//! read half sits in the poll set. An atomic `pending` flag coalesces
-//! storms of wakeups into a single byte per reactor iteration, so a
-//! worker streaming thousands of report lines costs one pipe write per
-//! poll cycle, not per line.
+//! read half sits in the poll set. Every wake writes: an unread byte
+//! keeps the read half readable until the reactor drains it, so a wake
+//! that happens-after a message send can never be lost. A burst of
+//! wakes between two polls still costs the reactor a single wakeup,
+//! because `poll` reports a readable descriptor once however many bytes
+//! are waiting.
 
 use std::io::{self, Read, Write};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-struct WakerInner {
-    tx: UnixStream,
-    pending: AtomicBool,
-}
 
 /// The reactor-owned read half. Register [`Waker::fd`] for readability
 /// and call [`Waker::drain`] every time it fires.
 pub struct Waker {
     rx: UnixStream,
-    inner: Arc<WakerInner>,
+    /// Held here as well as by every handle: once the write half
+    /// closes, `rx` reads EOF and stays readable, which would spin the
+    /// reactor.
+    tx: Arc<UnixStream>,
 }
 
 /// A cloneable handle other threads use to nudge the reactor.
 #[derive(Clone)]
 pub struct WakeHandle {
-    inner: Arc<WakerInner>,
+    tx: Arc<UnixStream>,
 }
 
 impl Waker {
@@ -46,10 +45,7 @@ impl Waker {
         rx.set_nonblocking(true)?;
         Ok(Self {
             rx,
-            inner: Arc::new(WakerInner {
-                tx,
-                pending: AtomicBool::new(false),
-            }),
+            tx: Arc::new(tx),
         })
     }
 
@@ -63,18 +59,14 @@ impl Waker {
     #[must_use]
     pub fn handle(&self) -> WakeHandle {
         WakeHandle {
-            inner: Arc::clone(&self.inner),
+            tx: Arc::clone(&self.tx),
         }
     }
 
-    /// Consumes buffered wakeup bytes and re-arms the coalescing flag.
-    ///
-    /// The flag clears *before* the read so a wake racing with the
-    /// drain either lands its byte here (harmless: the next drain finds
-    /// the pipe empty) or writes a fresh byte that keeps the reactor
-    /// awake — a wakeup can be duplicated but never lost.
+    /// Consumes every buffered wakeup byte. Call it *before* reading
+    /// whatever the wakers published: a wake that lands after the drain
+    /// leaves its byte in the pipe and fires the next poll.
     pub fn drain(&self) {
-        self.inner.pending.store(false, Ordering::SeqCst);
         let mut buf = [0u8; 64];
         loop {
             match (&self.rx).read(&mut buf) {
@@ -88,13 +80,11 @@ impl Waker {
 }
 
 impl WakeHandle {
-    /// Nudges the reactor. Only the first call after a drain writes a
-    /// byte; `WouldBlock` on a full pipe is ignored because unread
-    /// bytes already make the read half level-triggered-ready.
+    /// Nudges the reactor by writing one byte. `WouldBlock` on a full
+    /// pipe is ignored: the unread bytes already keep the read half
+    /// readable.
     pub fn wake(&self) {
-        if !self.inner.pending.swap(true, Ordering::SeqCst) {
-            let _ = (&self.inner.tx).write(&[1u8]);
-        }
+        let _ = (&*self.tx).write(&[1u8]);
     }
 }
 
@@ -102,7 +92,8 @@ impl WakeHandle {
 mod tests {
     use super::*;
     use crate::sys::{poll_fds, PollFd, POLLIN};
-    use std::time::Duration;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
     fn readable(fd: RawFd, timeout_ms: u64) -> bool {
         let mut fds = [PollFd {
@@ -124,15 +115,57 @@ mod tests {
     }
 
     #[test]
-    fn wakes_coalesce_into_one_byte() {
+    fn no_wake_is_lost_under_concurrent_senders() {
+        // The reactor's mailbox pattern: senders publish, then wake; the
+        // reactor polls, drains, then reads the mailbox. A wake racing a
+        // drain must still leave the descriptor readable, so the reactor
+        // never sleeps through a poll timeout with messages waiting.
+        const SENDERS: usize = 4;
+        const PER_SENDER: usize = 20_000;
+        const POLL_TIMEOUT_MS: u64 = 500;
         let waker = Waker::new().expect("waker");
-        let handle = waker.handle();
-        for _ in 0..10_000 {
-            handle.wake();
+        let (tx, rx) = mpsc::channel::<Instant>();
+        let senders: Vec<_> = (0..SENDERS)
+            .map(|_| {
+                let tx = tx.clone();
+                let wake = waker.handle();
+                std::thread::spawn(move || {
+                    for _ in 0..PER_SENDER {
+                        tx.send(Instant::now()).expect("receiver alive");
+                        wake.wake();
+                        // Spread the sends over many reactor passes, so
+                        // wakes keep landing while a drain is running.
+                        std::thread::yield_now();
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+
+        let mut received = 0usize;
+        let mut worst_wait = Duration::ZERO;
+        while received < SENDERS * PER_SENDER {
+            let fired = readable(waker.fd(), POLL_TIMEOUT_MS);
+            waker.drain();
+            let mut got = 0usize;
+            while let Ok(sent) = rx.try_recv() {
+                worst_wait = worst_wait.max(sent.elapsed());
+                got += 1;
+            }
+            assert!(
+                fired || got == 0,
+                "poll timed out after {POLL_TIMEOUT_MS} ms with {got} messages waiting \
+                 ({received} received before): a wakeup was lost"
+            );
+            received += got;
         }
-        let mut buf = [0u8; 64];
-        let n = (&waker.rx).read(&mut buf).expect("read");
-        assert_eq!(n, 1, "coalesced wakes must write exactly one byte");
+        for sender in senders {
+            sender.join().expect("sender thread");
+        }
+        assert!(
+            worst_wait < Duration::from_millis(POLL_TIMEOUT_MS),
+            "a message waited {worst_wait:?} for the reactor"
+        );
     }
 
     #[test]

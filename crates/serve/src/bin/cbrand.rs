@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! cbrand [--host HOST] [--port PORT] [--jobs N] [--cache auto|off|PATH]
-//!        [--workers N] [--queue-depth N] [--high-water N] [--low-water N]
-//!        [--metrics-addr ADDR] [--max-connections N]
+//!        [--workers N] [--queue-depth N] [--metrics-addr ADDR]
 //! ```
 //!
 //! Prints `cbrand listening on HOST:PORT` on stdout once bound (scripts
@@ -14,7 +13,7 @@
 //! `cbrand metrics listening on HOST:PORT` — again parseable when the
 //! requested port was 0.
 
-use cbrain_serve::daemon::{resolve_max_connections, resolve_metrics_addr, Daemon, DaemonOptions};
+use cbrain_serve::daemon::{resolve_metrics_addr, Daemon, DaemonOptions};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -32,20 +31,13 @@ OPTIONS:
                     PATH:           an explicit cache file
     --workers N     Connection-serving worker threads; 0 = max(cores, 4)
                     (default 0)
-    --queue-depth N Bound on accepted-but-unserved connections; 0 = 64
-                    (default 0)
-    --high-water N  Queue depth at which the daemon starts answering
-                    `busy` instead of queueing (default: the queue depth)
-    --low-water N   Queue depth at which shedding stops again
-                    (default: half the high-water mark)
+    --queue-depth N Queued requests at which the daemon starts answering
+                    `busy` instead of queueing; shedding stops again at
+                    half of it. 0 = 64 (default 0)
     --metrics-addr ADDR
                     Serve Prometheus text-format metrics over HTTP at
                     ADDR (e.g. 127.0.0.1:9227; port 0 picks an ephemeral
                     port). Default: CBRAIN_METRICS_ADDR, else disabled
-    --max-connections N
-                    Hard cap on concurrently open connections; arrivals
-                    past it are answered `busy`. 0 = no cap.
-                    Default: CBRAIN_MAX_CONNS, else 0
     --help          Show this help
 ";
 
@@ -56,10 +48,7 @@ struct Args {
     cache: String,
     workers: usize,
     queue_depth: usize,
-    high_water: Option<usize>,
-    low_water: Option<usize>,
     metrics_addr: Option<String>,
-    max_connections: Option<usize>,
 }
 
 fn parse_args() -> Result<Option<Args>, String> {
@@ -70,10 +59,7 @@ fn parse_args() -> Result<Option<Args>, String> {
         cache: "auto".to_owned(),
         workers: 0,
         queue_depth: 0,
-        high_water: None,
-        low_water: None,
         metrics_addr: None,
-        max_connections: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -106,28 +92,7 @@ fn parse_args() -> Result<Option<Args>, String> {
                     .parse()
                     .map_err(|_| format!("bad queue depth `{value}`"))?;
             }
-            "--high-water" => {
-                args.high_water = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad high-water mark `{value}`"))?,
-                );
-            }
-            "--low-water" => {
-                args.low_water = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad low-water mark `{value}`"))?,
-                );
-            }
             "--metrics-addr" => args.metrics_addr = Some(value.clone()),
-            "--max-connections" => {
-                args.max_connections = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad connection cap `{value}`"))?,
-                );
-            }
             other => return Err(format!("unknown flag `{other}`")),
         }
         i += 2;
@@ -166,14 +131,8 @@ fn main() -> ExitCode {
         cache_path: cache_path(&args.cache),
         workers: args.workers,
         queue_depth: args.queue_depth,
-        high_water: args.high_water,
-        low_water: args.low_water,
         busy_retry_ms: 0,
         metrics_addr: resolve_metrics_addr(args.metrics_addr, &cbrain::config::EnvConfig::load()),
-        max_connections: resolve_max_connections(
-            args.max_connections,
-            &cbrain::config::EnvConfig::load(),
-        ),
     };
     let daemon = match Daemon::bind(&format!("{}:{}", args.host, args.port), opts) {
         Ok(daemon) => daemon,

@@ -425,6 +425,9 @@ impl ClientBuilder {
             }
             None => TcpStream::connect(&self.addr)?,
         };
+        // Requests are single small lines; Nagle would hold each one
+        // back until the daemon's delayed ACK for the previous line.
+        stream.set_nodelay(true)?;
         if let Some(timeout) = self.io_timeout {
             stream.set_read_timeout(Some(timeout))?;
             stream.set_write_timeout(Some(timeout))?;

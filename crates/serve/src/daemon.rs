@@ -22,15 +22,13 @@
 //! completed a request, plus anything with a ticket in flight or bytes
 //! buffered — and sheds new arrivals with a single protocol v2
 //! [`Event::Busy`] line (retry hint included) once occupancy crosses
-//! the high-water mark, resuming accepts at the low-water mark. A shed
-//! socket is half-closed and *drained* in-loop (the `Draining` phase
-//! replaces the dedicated reaper thread of earlier versions) so the
+//! the high-water mark (the queue depth above the worker pool),
+//! resuming accepts at the low-water mark (half of it). A shed socket
+//! is half-closed and *drained* in-loop (the `Draining` phase) so the
 //! close cannot RST the busy answer away. A silent connection that
 //! never completes a handshake keeps counting as occupancy — a
 //! connection storm of idle openers is shed exactly like a compute
-//! flood. An optional hard cap ([`DaemonOptions::max_connections`])
-//! additionally answers `busy` to every arrival past the cap, keeping
-//! surplus clients out of the kernel backlog.
+//! flood.
 //!
 //! On startup the daemon warms the cache from a persisted file (if one
 //! is configured); on `shutdown` it saves the cache back before the
@@ -50,7 +48,7 @@ use cbrain::telemetry::{
 use cbrain::{CompileBackend as _, CompiledLayerCache, EnvConfig, RunOptions, Runner};
 use cbrain_model::{spec, zoo, Layer, Network, Tensor3};
 use cbrain_reactor::{Connection, Interest, Phase, Poller, WakeHandle, Waker};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -117,17 +115,10 @@ pub struct DaemonOptions {
     /// resolves to `max(available_jobs(), 4)`.
     pub workers: usize,
     /// Bound on parsed-but-unserved compute requests. `0` resolves to
-    /// 64.
+    /// 64. It is also the admission high-water mark: occupancy above
+    /// the worker pool at which new connections are shed with `busy`;
+    /// shedding stops again at half of it.
     pub queue_depth: usize,
-    /// Occupancy above the worker pool at which the daemon starts
-    /// shedding new connections with `busy`. `None` resolves to the
-    /// queue depth (shed only when full); any value is clamped into
-    /// `1..=queue_depth`.
-    pub high_water: Option<usize>,
-    /// Occupancy above the worker pool at which shedding stops again.
-    /// `None` resolves to half the high-water mark; any value is
-    /// clamped below it.
-    pub low_water: Option<usize>,
     /// Base retry hint in milliseconds; the shed answer scales it by the
     /// daemon's current load (queued + in-flight requests). `0`
     /// resolves to 25.
@@ -137,11 +128,6 @@ pub struct DaemonOptions {
     /// Resolve flag > `CBRAIN_METRICS_ADDR` > none with
     /// [`resolve_metrics_addr`].
     pub metrics_addr: Option<String>,
-    /// Hard cap on concurrently open connections; arrivals past it are
-    /// answered with `busy` instead of queueing in the kernel backlog.
-    /// `0` means no cap. Resolve flag > `CBRAIN_MAX_CONNS` > none with
-    /// [`resolve_max_connections`].
-    pub max_connections: usize,
 }
 
 /// Resolves the effective metrics listen address with the standard
@@ -150,14 +136,6 @@ pub struct DaemonOptions {
 #[must_use]
 pub fn resolve_metrics_addr(flag: Option<String>, env: &EnvConfig) -> Option<String> {
     flag.or_else(|| env.metrics_addr())
-}
-
-/// Resolves the effective connection cap with the standard flag >
-/// environment > default precedence (the default being "no cap",
-/// expressed as `0`).
-#[must_use]
-pub fn resolve_max_connections(flag: Option<usize>, env: &EnvConfig) -> usize {
-    flag.or_else(|| env.max_conns()).unwrap_or(0)
 }
 
 /// One parsed compute request waiting for (or holding) a pool worker.
@@ -236,28 +214,27 @@ impl TicketQueue {
 }
 
 /// Server-side admission control: the bounded ticket queue plus the
-/// water marks and counters the shed/accept hysteresis runs on. The
+/// high-water mark and counters the shed/accept hysteresis runs on. The
 /// live counters the `stats` request reports are telemetry-registry
 /// handles — one set of numbers backs the wire response, the `metrics`
 /// object, and the Prometheus exposition.
 struct Admission {
     tickets: TicketQueue,
+    /// The resolved queue depth: ticket depth (and occupancy above the
+    /// worker pool) at which shedding starts.
     high_water: usize,
-    low_water: usize,
     busy_retry_ms: u64,
     accepted: Arc<Counter>,
     shed: Arc<Counter>,
-    rejected: Arc<Counter>,
     in_flight: Arc<Gauge>,
     ticket_wait: Arc<Histogram>,
 }
 
 impl Admission {
-    fn new(high_water: usize, low_water: usize, busy_retry_ms: u64, registry: &Registry) -> Self {
+    fn new(high_water: usize, busy_retry_ms: u64, registry: &Registry) -> Self {
         Self {
             tickets: TicketQueue::new(),
             high_water,
-            low_water,
             busy_retry_ms,
             accepted: registry.counter(
                 "admission_accepted_total",
@@ -266,10 +243,6 @@ impl Admission {
             shed: registry.counter(
                 "admission_shed_total",
                 "connections refused with a busy answer",
-            ),
-            rejected: registry.counter(
-                "accept_rejected_total",
-                "connections refused with busy by the --max-connections cap",
             ),
             in_flight: registry.gauge(
                 "admission_in_flight",
@@ -534,7 +507,6 @@ pub struct Daemon {
     cache_path: Option<PathBuf>,
     load_note: String,
     workers: usize,
-    max_conns: usize,
     /// The Prometheus exposition listener, when `--metrics-addr` is on.
     /// Owned here so it serves for exactly the daemon's lifetime; the
     /// drop at the end of [`Daemon::run`] stops it.
@@ -590,10 +562,6 @@ impl Daemon {
         } else {
             opts.queue_depth
         };
-        // High water must be at least 1 or every connection — including
-        // the eventual `shutdown` — would be shed forever.
-        let high_water = opts.high_water.unwrap_or(queue_depth).clamp(1, queue_depth);
-        let low_water = opts.low_water.unwrap_or(high_water / 2).min(high_water - 1);
         let busy_retry_ms = if opts.busy_retry_ms == 0 {
             DEFAULT_BUSY_RETRY_MS
         } else {
@@ -616,7 +584,7 @@ impl Daemon {
         let state = Arc::new(ServerState {
             cache,
             batcher: Arc::new(CompileBatcher::with_registry(opts.jobs, &registry)),
-            admission: Admission::new(high_water, low_water, busy_retry_ms, &registry),
+            admission: Admission::new(queue_depth, busy_retry_ms, &registry),
             requests: registry.counter("requests_total", "protocol requests decoded since startup"),
             progress: ProgressCounters::new(&registry),
             registry: Arc::clone(&registry),
@@ -651,7 +619,6 @@ impl Daemon {
             cache_path: opts.cache_path,
             load_note,
             workers,
-            max_conns: opts.max_connections,
             metrics,
         })
     }
@@ -687,8 +654,8 @@ impl Daemon {
     /// a fixed pool of [`Self::workers`] threads executes compute
     /// tickets; requests on one connection are sequential. Connections
     /// arriving while the daemon is over its occupancy high-water mark
-    /// (or the `--max-connections` cap) are answered with a single
-    /// [`Event::Busy`] line, half-closed, and drained.
+    /// are answered with a single [`Event::Busy`] line, half-closed,
+    /// and drained.
     ///
     /// On `shutdown`, queued-but-unstarted tickets are dropped with
     /// their connections, executing tickets finish and flush (bounded),
@@ -740,8 +707,7 @@ impl Daemon {
                 accept_failures: 0,
                 accept_pause_until: None,
                 cap_high: self.workers + self.state.admission.high_water,
-                cap_low: self.workers + self.state.admission.low_water,
-                max_conns: self.max_conns,
+                cap_low: self.workers + self.state.admission.high_water / 2,
             };
             reactor.run_loop()
         };
@@ -770,7 +736,7 @@ impl Daemon {
 /// What a pool worker sends back to the reactor: response bytes to
 /// queue on a connection, then a completion marker. Every send is
 /// followed by a [`WakeHandle::wake`] so a reactor parked in `poll`
-/// notices (wakes coalesce; see [`Waker`]).
+/// notices (see [`Waker`]).
 enum PoolMsg {
     /// One encoded, newline-terminated event line for `conn`.
     Line { conn: u64, bytes: Vec<u8> },
@@ -779,17 +745,8 @@ enum PoolMsg {
     Done { conn: u64 },
 }
 
-/// Where a request handler writes its response events. Pool workers
-/// stream through the reactor mailbox ([`PoolSink`]); tests can collect
-/// directly.
-trait EventSink {
-    /// Queues one response event. An `Err` aborts the handler's
-    /// streaming — the connection is gone.
-    fn event(&mut self, event: &Event, id: Option<u64>) -> io::Result<()>;
-}
-
-/// The pool-worker sink: encodes each event and mails it to the
-/// reactor. Fails fast once the reactor marked the connection dead, so
+/// Where a request handler writes its response events: encodes each
+/// event and mails it to the reactor. Fails fast once the reactor marked the connection dead, so
 /// a long run stops streaming into the void — the same abort the old
 /// per-connection writer got from its socket error.
 struct PoolSink<'a> {
@@ -799,7 +756,9 @@ struct PoolSink<'a> {
     wake: &'a WakeHandle,
 }
 
-impl EventSink for PoolSink<'_> {
+impl PoolSink<'_> {
+    /// Queues one response event. An `Err` aborts the handler's
+    /// streaming — the connection is gone.
     fn event(&mut self, event: &Event, id: Option<u64>) -> io::Result<()> {
         if !self.alive.load(Ordering::SeqCst) {
             return Err(io::Error::new(
@@ -850,7 +809,7 @@ fn pool_worker(state: &ServerState, tx: &mpsc::Sender<PoolMsg>, wake: &WakeHandl
 fn dispatch_compute(
     state: &ServerState,
     request: &Request,
-    sink: &mut dyn EventSink,
+    sink: &mut PoolSink,
     id: Option<u64>,
 ) -> io::Result<()> {
     match request {
@@ -892,7 +851,7 @@ fn handle_run(
     state: &ServerState,
     run: &RunRequest,
     full_stats: bool,
-    sink: &mut dyn EventSink,
+    sink: &mut PoolSink,
     id: Option<u64>,
 ) -> io::Result<()> {
     let net = match resolve_network(&run.network) {
@@ -956,7 +915,7 @@ fn handle_run(
 fn handle_forward(
     run: &RunRequest,
     seed: u64,
-    sink: &mut dyn EventSink,
+    sink: &mut PoolSink,
     id: Option<u64>,
 ) -> io::Result<()> {
     let net = match resolve_network(&run.network) {
@@ -997,7 +956,7 @@ fn handle_forward(
 fn handle_compile_keys(
     state: &ServerState,
     items: &[CompileItem],
-    sink: &mut dyn EventSink,
+    sink: &mut PoolSink,
     id: Option<u64>,
 ) -> io::Result<()> {
     // Decode every key before compiling anything: a malformed item fails
@@ -1018,11 +977,14 @@ fn handle_compile_keys(
     }
     // A key is self-contained: rebuild the layer the compiler needs from
     // it (the name is only for diagnostics, `skip` does not affect
-    // compilation). Already-cached keys stay off the work-list.
+    // compilation). Already-cached and repeated keys stay off the
+    // work-list; the work-list is what this request misses, the rest
+    // are hits — the accounting a `Runner` pass would do.
+    let mut seen = HashSet::new();
     let worklist: Vec<_> = keys
         .iter()
         .zip(items)
-        .filter(|(key, _)| !state.cache.contains(key))
+        .filter(|(key, _)| !state.cache.contains(key) && seen.insert(**key))
         .map(|(key, item)| {
             (
                 *key,
@@ -1035,6 +997,8 @@ fn handle_compile_keys(
             )
         })
         .collect();
+    let misses = worklist.len() as u64;
+    state.cache.record(keys.len() as u64 - misses, misses);
     if let Err(e) = state.batcher.compile_batch(&state.cache, worklist) {
         return sink.event(
             &Event::Error {
@@ -1134,8 +1098,6 @@ struct Reactor<'a> {
     cap_high: usize,
     /// Occupancy at which shedding stops again.
     cap_low: usize,
-    /// Hard cap on open connections (`0` = uncapped).
-    max_conns: usize,
 }
 
 impl Reactor<'_> {
@@ -1381,11 +1343,6 @@ impl Reactor<'_> {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     self.accept_failures = 0;
-                    if self.max_conns > 0 && self.conns.len() >= self.max_conns {
-                        self.state.admission.rejected.inc();
-                        self.shed_stream(stream);
-                        continue;
-                    }
                     let pressure = self.occupied + admitted_now;
                     if self.shedding {
                         if pressure <= self.cap_low {

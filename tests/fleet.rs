@@ -3,11 +3,14 @@
 //! single-process [`Runner`], survive shard deaths mid-sequence, and
 //! reject peers speaking another protocol version.
 
+mod common;
+
 use cbrain::report::render_run_report;
 use cbrain::{Policy, RunOptions, Runner};
 use cbrain_fleet::{FleetRouter, RetryPolicy};
 use cbrain_model::{zoo, Network};
 use cbrain_serve::daemon::{Daemon, DaemonOptions};
+use cbrain_serve::json::Value;
 use cbrain_serve::wire::{Event, NetworkSource, Request, RunRequest};
 use cbrain_serve::{Client, ClientError};
 use cbrain_sim::AcceleratorConfig;
@@ -76,6 +79,7 @@ fn fleet_report(router: &std::sync::Arc<FleetRouter>, net: &Network, policy: Pol
 
 #[test]
 fn three_shard_fleet_is_byte_identical_for_every_zoo_network() {
+    let _watchdog = common::watchdog();
     let (a, ha) = shard();
     let (b, hb) = shard();
     let (c, hc) = shard();
@@ -134,6 +138,29 @@ fn three_shard_fleet_is_byte_identical_for_every_zoo_network() {
         );
     }
 
+    // Every entry a shard holds was compiled there by `compile_keys`,
+    // and each of those compiles must count as exactly one cache miss.
+    for addr in [&a, &b, &c] {
+        let mut client = Client::builder(addr).connect().expect("connect");
+        let terminal = client.submit(&Request::Metrics, |_| {}).expect("metrics");
+        let Event::Metrics { metrics } = terminal else {
+            panic!("expected metrics, got {terminal:?}");
+        };
+        let read = |name: &str| {
+            metrics
+                .get(name)
+                .and_then(Value::as_u64)
+                .unwrap_or_else(|| panic!("metric `{name}` missing"))
+        };
+        let compiled = read("cache_entries");
+        assert!(compiled > 0, "shard {addr} compiled nothing");
+        assert_eq!(
+            read("cache_misses_total"),
+            compiled,
+            "shard {addr}: one miss per compiled entry"
+        );
+    }
+
     for addr in [&a, &b, &c] {
         shutdown(addr);
     }
@@ -144,6 +171,7 @@ fn three_shard_fleet_is_byte_identical_for_every_zoo_network() {
 
 #[test]
 fn fleet_survives_a_shard_dying_mid_run() {
+    let _watchdog = common::watchdog();
     // Shard `rogue` accepts connections and immediately drops them — a
     // daemon crashing mid-exchange. Its keys must reroute to the two
     // real shards without perturbing a single report byte.
@@ -213,6 +241,7 @@ fn fleet_survives_a_shard_dying_mid_run() {
 
 #[test]
 fn busy_shard_is_backed_off_but_never_marked_down() {
+    let _watchdog = common::watchdog();
     // A fake shard that sheds every connection: one unsolicited `busy`
     // line, a half-close, then a drain to EOF — exactly the daemon's
     // admission-control shed path.
@@ -283,6 +312,7 @@ fn busy_shard_is_backed_off_but_never_marked_down() {
 
 #[test]
 fn hello_version_mismatch_is_rejected_and_the_connection_closed() {
+    let _watchdog = common::watchdog();
     let (addr, handle) = shard();
 
     let mut stream = TcpStream::connect(&addr).expect("connect");
@@ -312,6 +342,7 @@ fn hello_version_mismatch_is_rejected_and_the_connection_closed() {
 
 #[test]
 fn evict_request_bounds_the_daemon_cache() {
+    let _watchdog = common::watchdog();
     let (addr, handle) = shard();
     let mut client = Client::builder(&addr).connect().expect("connect");
     let run = RunRequest {

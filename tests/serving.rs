@@ -2,6 +2,8 @@
 //! streamed client reports must be byte-identical to a single-process
 //! [`Runner`], and the persisted cache must make a daemon restart warm.
 
+mod common;
+
 use cbrain::report::render_run_report;
 use cbrain::{RunOptions, Runner};
 use cbrain_serve::daemon::{Daemon, DaemonOptions};
@@ -34,6 +36,7 @@ fn direct_report(run: &RunRequest, breakdown: bool) -> String {
 
 #[test]
 fn two_concurrent_clients_render_byte_identical_reports() {
+    let _watchdog = common::watchdog();
     let daemon = Daemon::bind(
         "127.0.0.1:0",
         DaemonOptions {
@@ -95,8 +98,9 @@ fn os_thread_count() -> Option<usize> {
 
 #[test]
 fn overloaded_daemon_sheds_with_busy_yet_every_client_converges() {
+    let _watchdog = common::watchdog();
     // A deliberately tiny daemon: 2 connection workers and a queue of
-    // one, so 8 concurrent clients are guaranteed to overflow admission.
+    // one, so 8 concurrent clients can overflow admission.
     let daemon = Daemon::bind(
         "127.0.0.1:0",
         DaemonOptions {
@@ -138,6 +142,17 @@ fn overloaded_daemon_sheds_with_busy_yet_every_client_converges() {
         })
         .collect();
 
+    // Three silent connections (workers + queue depth) hold occupancy
+    // at the high-water mark: a connection that never completed a
+    // request counts as load, so the clients below are shed until these
+    // close. That makes the overflow certain however fast the daemon
+    // serves each request.
+    let mut silent: Option<Vec<std::net::TcpStream>> = Some(
+        (0..3)
+            .map(|_| std::net::TcpStream::connect(&addr).expect("silent connect"))
+            .collect(),
+    );
+
     let busy_seen = AtomicU64::new(0);
     let mut peak_threads = os_thread_count();
     thread::scope(|scope| {
@@ -167,6 +182,11 @@ fn overloaded_daemon_sheds_with_busy_yet_every_client_converges() {
             })
             .collect();
         while handles.iter().any(|h| !h.is_finished()) {
+            if busy_seen.load(Ordering::SeqCst) >= 1 {
+                // Shedding was observed: free the seats so the clients
+                // converge.
+                drop(silent.take());
+            }
             peak_threads = peak_threads.max(os_thread_count());
             thread::sleep(Duration::from_millis(5));
         }
@@ -209,6 +229,7 @@ fn overloaded_daemon_sheds_with_busy_yet_every_client_converges() {
 
 #[test]
 fn progress_counters_track_runs_and_settle_idle() {
+    let _watchdog = common::watchdog();
     let daemon = Daemon::bind(
         "127.0.0.1:0",
         DaemonOptions {
@@ -298,6 +319,7 @@ fn counter(metrics: &Value, name: &str) -> u64 {
 
 #[test]
 fn metrics_request_is_sorted_and_agrees_with_stats() {
+    let _watchdog = common::watchdog();
     let daemon = Daemon::bind(
         "127.0.0.1:0",
         DaemonOptions {
@@ -377,6 +399,7 @@ fn http_get(addr: &str, path: &str) -> (String, String) {
 
 #[test]
 fn prometheus_scrape_is_byte_stable_and_sorted() {
+    let _watchdog = common::watchdog();
     let daemon = Daemon::bind(
         "127.0.0.1:0",
         DaemonOptions {
@@ -437,6 +460,7 @@ fn prometheus_scrape_is_byte_stable_and_sorted() {
 
 #[test]
 fn shed_flood_counts_exactly_in_metrics() {
+    let _watchdog = common::watchdog();
     // Same overload shape as the shedding test above, but the assertion
     // under test is the *metrics* contract: every `busy` line a client
     // observed is one shed connection, so `admission_shed_total` must
@@ -501,6 +525,7 @@ fn shed_flood_counts_exactly_in_metrics() {
 
 #[test]
 fn slow_loris_writers_and_stalled_readers_do_not_delay_other_clients() {
+    let _watchdog = common::watchdog();
     let daemon = Daemon::bind(
         "127.0.0.1:0",
         DaemonOptions {
@@ -586,6 +611,7 @@ fn slow_loris_writers_and_stalled_readers_do_not_delay_other_clients() {
 
 #[test]
 fn idle_soak_keepalive_connections_stay_cheap_under_flood() {
+    let _watchdog = common::watchdog();
     // The C10K shape: hundreds of proven keep-alive connections parked
     // on the daemon while a compute flood hits the same tiny pool. Idle
     // peers must cost a descriptor (never a thread), shed accounting
@@ -710,6 +736,7 @@ fn idle_soak_keepalive_connections_stay_cheap_under_flood() {
 
 #[test]
 fn daemon_restart_serves_from_persisted_cache() {
+    let _watchdog = common::watchdog();
     let dir = std::env::temp_dir().join(format!("cbrand_e2e_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let cache_file = dir.join("compiled-layers.bin");

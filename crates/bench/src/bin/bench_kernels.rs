@@ -17,7 +17,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use cbrain::functional::unrolled_forward;
+use cbrain::functional::{improved_inter_forward, partition_forward, unrolled_forward};
 use cbrain_compiler::{compile_conv, Scheme};
 use cbrain_model::rng::XorShift64;
 use cbrain_model::{reference, simd, zoo, ConvParams, ConvWeights, FcParams, Tensor3, TensorShape};
@@ -104,6 +104,32 @@ fn rows(samples: usize) -> Vec<Row> {
     // contiguous kernel run.
     out.push(run_pair("im2col_unrolled_3x3", samples, &|| {
         let o = unrolled_forward(&in3, &w3, Some(&b3), &p3).unwrap();
+        digest_f32(o.as_slice())
+    }));
+
+    // The shared conv_rows microkernel through the scheme executors:
+    // strided kernel partitioning at AlexNet conv1's shape, and
+    // improved-inter on the narrow rows of AlexNet conv3 (13 px) and
+    // NiN cccp7 (6 px), where most pixels sit in the masked tail.
+    let pp = ConvParams::new(3, 96, 11, 4, 0);
+    let inp = random_tensor(TensorShape::new(3, 227, 227), 7);
+    let wp = ConvWeights::random(&pp, 8);
+    out.push(run_pair("partition_11x11_s4", samples, &|| {
+        let o = partition_forward(&inp, &wp, None, &pp).unwrap();
+        digest_f32(o.as_slice())
+    }));
+    let p13 = ConvParams::new(256, 384, 3, 1, 1);
+    let in13 = random_tensor(TensorShape::new(256, 13, 13), 9);
+    let w13 = ConvWeights::random(&p13, 10);
+    out.push(run_pair("improved_inter_3x3_w13", samples, &|| {
+        let o = improved_inter_forward(&in13, &w13, None, &p13).unwrap();
+        digest_f32(o.as_slice())
+    }));
+    let p6 = ConvParams::new(1024, 1024, 1, 1, 0);
+    let in6 = random_tensor(TensorShape::new(1024, 6, 6), 11);
+    let w6 = ConvWeights::random(&p6, 12);
+    out.push(run_pair("improved_inter_1x1_w6", samples, &|| {
+        let o = improved_inter_forward(&in6, &w6, None, &p6).unwrap();
         digest_f32(o.as_slice())
     }));
 

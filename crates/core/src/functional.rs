@@ -6,32 +6,159 @@
 //! compute exactly the same convolution as the reference sliding window.
 //! The PE-level variant additionally pushes values through the segmented
 //! adder-tree datapath the cycle model assumes.
+//!
+//! The partition, inter and improved-inter executors share one engine:
+//! each is a sequence of *passes*, and a pass is an ordered term list
+//! `(i, ky, kx)` whose sum every output pixel builds from `+0` in a PE
+//! register and then add-and-stores into the output buffer. Passes run on
+//! [`simd::conv_rows`] over a zero-padded, stride-polyphase copy of the
+//! input, so strided and unit-stride layers take the same loop nest. A
+//! padded tap adds `±0` to a register that starts at `+0`, which cannot
+//! change it for finite weights, so padding costs no bits.
 
 use crate::partition_math::partition;
-use cbrain_model::{reference, simd, ConvParams, ConvWeights, ModelError, Tensor3};
+use cbrain_model::{reference, simd, ConvParams, ConvWeights, ModelError, Tensor3, TensorShape};
 use cbrain_sim::pe::PeArray;
 use cbrain_sim::PeConfig;
 
-/// The output columns `ox` of a unit-stride row pass whose input tap
-/// `ox + kx - pad` lands inside an unpadded row of width `in_w`, together
-/// with the input column the first tap reads: `(lo, hi, x0)` with the
-/// span possibly empty (`lo >= hi`).
-#[inline]
-fn row_span(kx: usize, pad: isize, in_w: usize, out_w: usize) -> (usize, usize, usize) {
-    let lo = (pad - kx as isize).max(0) as usize;
-    let hi = (in_w as isize + pad - kx as isize).clamp(0, out_w as isize) as usize;
-    let x0 = if lo < hi {
-        (lo as isize + kx as isize - pad) as usize
+/// One kernel term of a pass: input map within the group, kernel row,
+/// kernel column.
+type Term = (usize, usize, usize);
+
+/// Zero-padded, stride-polyphase copy of an input tensor: padded pixel
+/// `(y, x)` of map `i` sits at `((i * hp + y) * s + x % s) * wd + x / s`.
+/// A tap `(ky, kx)` of a stride-`s` window then reads one contiguous run
+/// over the output columns `ox`, starting at [`Polyphase::tap`], and the
+/// next output row starts [`Polyphase::row_step`] further on.
+struct Polyphase {
+    data: Vec<f32>,
+    hp: usize,
+    wd: usize,
+    s: usize,
+}
+
+impl Polyphase {
+    fn new(input: &Tensor3, pad: usize, s: usize) -> Self {
+        let shape = input.shape();
+        let hp = shape.height + 2 * pad;
+        let wd = (shape.width + 2 * pad).div_ceil(s);
+        let mut data = vec![0.0; shape.maps * hp * s * wd];
+        for i in 0..shape.maps {
+            for y in 0..shape.height {
+                let row = ((i * hp + y + pad) * s) * wd;
+                for phase in 0..s {
+                    // The first input column whose padded column is in
+                    // this phase; the phase's columns are then contiguous.
+                    let x0 = (phase + s - pad % s) % s;
+                    let dst = &mut data[row + phase * wd + (x0 + pad) / s..];
+                    let xs = input.row(i, y).iter().skip(x0).step_by(s);
+                    for (d, &v) in dst.iter_mut().zip(xs) {
+                        *d = v;
+                    }
+                }
+            }
+        }
+        Self { data, hp, wd, s }
+    }
+
+    /// Offset of the tap `(ky, kx)` of map `i` for output pixel `(0, 0)`.
+    fn tap(&self, i: usize, ky: usize, kx: usize) -> usize {
+        ((i * self.hp + ky) * self.s + kx % self.s) * self.wd + kx / self.s
+    }
+
+    /// Distance between the same tap of consecutive output rows.
+    fn row_step(&self) -> usize {
+        self.s * self.s * self.wd
+    }
+}
+
+/// Runs `passes` in order over a bias-seeded output buffer. For each pass
+/// and each group, every output pixel gets one add-and-store of
+/// `Σ_t w(o, i_t, ky_t, kx_t) * x(i_t, oy*s + ky_t, ox*s + kx_t)` over the
+/// padded input, summed from `+0` in term order by [`simd::conv_rows`].
+fn run_passes(
+    input: &Tensor3,
+    weights: &ConvWeights,
+    bias: Option<&[f32]>,
+    params: &ConvParams,
+    passes: impl Iterator<Item = Vec<Term>>,
+) -> Result<Tensor3, ModelError> {
+    let out_shape = params.output_shape(input.shape())?;
+    let TensorShape { height, width, .. } = out_shape;
+    let dec = Polyphase::new(input, params.pad, params.stride);
+    // At unit stride, output row `oy + 1` reads the polyphase row after
+    // row `oy`'s: with the output rows at the polyphase pitch, a whole
+    // plane is one contiguous run (the pitch's extra columns are computed
+    // and dropped). A strided layer takes one run per output row.
+    let (pitch, lines, run) = if params.stride == 1 {
+        (dec.wd, 1, (height - 1) * dec.wd + width)
     } else {
-        0
+        (width, height, width)
     };
-    (lo, hi, x0)
+    let plane = height * pitch;
+    let mut out = vec![0.0f32; out_shape.maps * plane];
+    if let Some(b) = bias {
+        for (o, &bv) in b.iter().enumerate().take(out_shape.maps) {
+            out[o * plane..][..plane].fill(bv);
+        }
+    }
+
+    let in_per_group = params.in_maps_per_group();
+    let out_per_group = params.out_maps_per_group();
+    let (mut taps, mut wbuf) = (Vec::new(), Vec::new());
+    for terms in passes {
+        for group in 0..params.groups {
+            let in_base = group * in_per_group;
+            taps.clear();
+            taps.extend(
+                terms
+                    .iter()
+                    .map(|&(i, ky, kx)| dec.tap(in_base + i, ky, kx)),
+            );
+            // The group's output maps in kernel-sized blocks `(o0, rows)`,
+            // each block's weights laid out `w[t*rows + r]`.
+            let end = (group + 1) * out_per_group;
+            let blocks = || {
+                (group * out_per_group..end)
+                    .step_by(simd::CONV_ROWS_MAPS)
+                    .map(move |o0| (o0, simd::CONV_ROWS_MAPS.min(end - o0)))
+            };
+            wbuf.clear();
+            for (o0, rows) in blocks() {
+                for &(i, ky, kx) in &terms {
+                    wbuf.extend((o0..o0 + rows).map(|o| weights.at(o, i, ky, kx)));
+                }
+            }
+            for line in 0..lines {
+                let src = &dec.data[line * dec.row_step()..];
+                let mut w = wbuf.as_slice();
+                for (o0, rows) in blocks() {
+                    let (block, rest) = w.split_at(rows * terms.len());
+                    w = rest;
+                    let acc = &mut out[o0 * plane + line * pitch..];
+                    simd::conv_rows(acc, plane, rows, run, block, src, &taps);
+                }
+            }
+        }
+    }
+    if pitch != width {
+        // Drop the pitch's extra columns in place (rows only move left).
+        for row in 1..out_shape.maps * height {
+            out.copy_within(row * pitch..row * pitch + width, row * width);
+        }
+        out.truncate(out_shape.elems());
+    }
+    Ok(Tensor3::from_vec(out_shape, out))
 }
 
 /// Kernel-partitioned convolution (Algorithm 1): the `k x k` kernel is
 /// split into `g x g` sub-kernels of side `ks = s`; each pass produces a
 /// partial output map (`r_{i/G}` in Fig. 5d) which is accumulated into the
 /// final result.
+///
+/// Pass `(gy, gx)` sums its sub-kernel's terms in `i -> ky -> kx` order,
+/// skipping the zero-padded weights beyond `k` (Fig. 5c), then
+/// add-and-stores once (Algorithm 1 line 8).
 ///
 /// # Errors
 ///
@@ -58,98 +185,25 @@ pub fn partition_forward(
     params: &ConvParams,
 ) -> Result<Tensor3, ModelError> {
     params.validate("<partition>")?;
-    let out_shape = params.output_shape(input.shape())?;
-    let (g, ks) = partition(params.kernel, params.stride);
-    let mut out = Tensor3::zeros(out_shape);
-
-    let in_per_group = params.in_maps_per_group();
-    let out_per_group = params.out_maps_per_group();
-    let pad = params.pad as isize;
-
-    // Seed with the bias, then add the g*g partial maps.
-    if let Some(b) = bias {
-        for (o, &bv) in b.iter().enumerate().take(out_shape.maps) {
-            for oy in 0..out_shape.height {
-                out.row_mut(o, oy).fill(bv);
-            }
-        }
-    }
-
-    if params.stride == 1 {
-        // Unit stride means ks == 1: every pass slides a single weight.
-        // Accumulate each output row's pass partial with row-wise axpy,
-        // then add-and-store it — the same per-pixel term order and the
-        // same one-add-per-pass structure as the loop below (Algorithm 1
-        // line 8), vectorized across independent output pixels.
-        let in_shape = input.shape();
-        let mut acc_row = vec![0.0f32; out_shape.width];
-        for gy in 0..g {
-            for gx in 0..g {
-                if gy >= params.kernel || gx >= params.kernel {
-                    continue;
-                }
-                let (lo, hi, x0) = row_span(gx, pad, in_shape.width, out_shape.width);
-                for o in 0..params.out_maps {
-                    let group = o / out_per_group;
-                    let in_base = group * in_per_group;
-                    for oy in 0..out_shape.height {
-                        let y = oy as isize - pad + gy as isize;
-                        acc_row.fill(0.0);
-                        if y >= 0 && (y as usize) < in_shape.height && lo < hi {
-                            for i in 0..in_per_group {
-                                let in_row = input.row(in_base + i, y as usize);
-                                simd::axpy(
-                                    &mut acc_row[lo..hi],
-                                    weights.at(o, i, gy, gx),
-                                    &in_row[x0..x0 + (hi - lo)],
-                                );
-                            }
-                        }
-                        simd::add_assign(out.row_mut(o, oy), &acc_row);
+    let k = params.kernel;
+    let (g, ks) = partition(k, params.stride);
+    let passes = (0..g * g).map(|p| {
+        let (gy, gx) = (p / g, p % g);
+        let mut terms = Vec::new();
+        for i in 0..params.in_maps_per_group() {
+            for ky in 0..ks {
+                for kx in 0..ks {
+                    let (wy, wx) = (gy * ks + ky, gx * ks + kx);
+                    if wy < k && wx < k {
+                        terms.push((i, wy, wx));
                     }
                 }
             }
         }
-        return Ok(out);
-    }
-
-    for gy in 0..g {
-        for gx in 0..g {
-            // One pass: slide the (gy, gx) sub-kernel at stride s. Its
-            // windows are non-overlapping because ks == s.
-            for o in 0..params.out_maps {
-                let group = o / out_per_group;
-                let in_base = group * in_per_group;
-                for oy in 0..out_shape.height {
-                    for ox in 0..out_shape.width {
-                        let mut acc = 0.0f32;
-                        for i in 0..in_per_group {
-                            for ky in 0..ks {
-                                for kx in 0..ks {
-                                    let wy = gy * ks + ky;
-                                    let wx = gx * ks + kx;
-                                    // Zero-padded weights beyond k (Fig. 5c).
-                                    if wy >= params.kernel || wx >= params.kernel {
-                                        continue;
-                                    }
-                                    let y = (oy * params.stride) as isize - pad + wy as isize;
-                                    let x = (ox * params.stride) as isize - pad + wx as isize;
-                                    acc += input.at_padded(in_base + i, y, x)
-                                        * weights.at(o, i, wy, wx);
-                                }
-                            }
-                        }
-                        // Algorithm 1 line 8: reload the partial pixel, add,
-                        // store.
-                        *out.at_mut(o, oy, ox) += acc;
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
+        terms
+    });
+    run_passes(input, weights, bias, params, passes)
 }
-
 /// Unrolled (im2col) convolution: the intra-kernel scheme's data layout.
 /// Windows are duplicated into contiguous runs (Eq. 1's footprint cost),
 /// then each output pixel is one dot product.
@@ -217,85 +271,15 @@ pub fn inter_forward(
 ) -> Result<Tensor3, ModelError> {
     assert!(tin > 0, "tin must be non-zero");
     params.validate("<inter>")?;
-    let out_shape = params.output_shape(input.shape())?;
-    let in_per_group = params.in_maps_per_group();
-    let out_per_group = params.out_maps_per_group();
-    let pad = params.pad as isize;
-
-    let mut out = Tensor3::zeros(out_shape);
-    if let Some(b) = bias {
-        for (o, &bv) in b.iter().enumerate().take(out_shape.maps) {
-            for oy in 0..out_shape.height {
-                out.row_mut(o, oy).fill(bv);
-            }
-        }
-    }
-
-    if params.stride == 1 {
-        // Row-wise variant: each Din block's partial accumulates in a row
-        // of "PE registers" via axpy over shifted input rows (term order
-        // per pixel unchanged: i -> ky -> kx), then one add-and-store per
-        // block, exactly like the per-pixel loop below.
-        let in_shape = input.shape();
-        let mut acc_row = vec![0.0f32; out_shape.width];
-        for o in 0..params.out_maps {
-            let group = o / out_per_group;
-            let in_base = group * in_per_group;
-            for oy in 0..out_shape.height {
-                for i_block in (0..in_per_group).step_by(tin) {
-                    acc_row.fill(0.0);
-                    for i in i_block..(i_block + tin).min(in_per_group) {
-                        for ky in 0..params.kernel {
-                            let y = oy as isize - pad + ky as isize;
-                            if y < 0 || y as usize >= in_shape.height {
-                                continue;
-                            }
-                            let in_row = input.row(in_base + i, y as usize);
-                            for kx in 0..params.kernel {
-                                let (lo, hi, x0) =
-                                    row_span(kx, pad, in_shape.width, out_shape.width);
-                                if lo < hi {
-                                    simd::axpy(
-                                        &mut acc_row[lo..hi],
-                                        weights.at(o, i, ky, kx),
-                                        &in_row[x0..x0 + (hi - lo)],
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    // One add-and-store per Din block.
-                    simd::add_assign(out.row_mut(o, oy), &acc_row);
-                }
-            }
-        }
-        return Ok(out);
-    }
-
-    for o in 0..params.out_maps {
-        let group = o / out_per_group;
-        let in_base = group * in_per_group;
-        for oy in 0..out_shape.height {
-            for ox in 0..out_shape.width {
-                for i_block in (0..in_per_group).step_by(tin) {
-                    let mut acc = 0.0f32; // the PE register
-                    for i in i_block..(i_block + tin).min(in_per_group) {
-                        for ky in 0..params.kernel {
-                            for kx in 0..params.kernel {
-                                let y = (oy * params.stride) as isize - pad + ky as isize;
-                                let x = (ox * params.stride) as isize - pad + kx as isize;
-                                acc +=
-                                    input.at_padded(in_base + i, y, x) * weights.at(o, i, ky, kx);
-                            }
-                        }
-                    }
-                    // One add-and-store per Din block.
-                    *out.at_mut(o, oy, ox) += acc;
-                }
-            }
-        }
-    }
-    Ok(out)
+    let (k, in_per_group) = (params.kernel, params.in_maps_per_group());
+    // One pass per Din block, terms in i -> ky -> kx order.
+    let passes = (0..in_per_group).step_by(tin).map(|i0| {
+        let block = i0..(i0 + tin).min(in_per_group);
+        block
+            .flat_map(|i| (0..k * k).map(move |p| (i, p / k, p % k)))
+            .collect()
+    });
+    run_passes(input, weights, bias, params, passes)
 }
 
 /// Improved inter-kernel convolution (Sec. 4.2.2): the kernel-position loop
@@ -313,80 +297,15 @@ pub fn improved_inter_forward(
     params: &ConvParams,
 ) -> Result<Tensor3, ModelError> {
     params.validate("<improved-inter>")?;
-    let out_shape = params.output_shape(input.shape())?;
-    let in_per_group = params.in_maps_per_group();
-    let out_per_group = params.out_maps_per_group();
-    let pad = params.pad as isize;
-
-    // The "output buffer" of partial sums.
-    let mut out = Tensor3::zeros(out_shape);
-    if let Some(b) = bias {
-        for (o, &bv) in b.iter().enumerate().take(out_shape.maps) {
-            for oy in 0..out_shape.height {
-                out.row_mut(o, oy).fill(bv);
-            }
-        }
-    }
-
-    if params.stride == 1 {
-        // Row-wise variant: the (ky, kx) pass's sum-over-Din partial for a
-        // whole output row accumulates via axpy (per-pixel term order
-        // unchanged), then one add-and-store into the output buffer —
-        // performed even for fully padded rows, like the loop below.
-        let in_shape = input.shape();
-        let mut partial_row = vec![0.0f32; out_shape.width];
-        for ky in 0..params.kernel {
-            for kx in 0..params.kernel {
-                let (lo, hi, x0) = row_span(kx, pad, in_shape.width, out_shape.width);
-                for o in 0..params.out_maps {
-                    let group = o / out_per_group;
-                    let in_base = group * in_per_group;
-                    for oy in 0..out_shape.height {
-                        let y = oy as isize - pad + ky as isize;
-                        partial_row.fill(0.0);
-                        if y >= 0 && (y as usize) < in_shape.height && lo < hi {
-                            for i in 0..in_per_group {
-                                let in_row = input.row(in_base + i, y as usize);
-                                simd::axpy(
-                                    &mut partial_row[lo..hi],
-                                    weights.at(o, i, ky, kx),
-                                    &in_row[x0..x0 + (hi - lo)],
-                                );
-                            }
-                        }
-                        // add-and-store
-                        simd::add_assign(out.row_mut(o, oy), &partial_row);
-                    }
-                }
-            }
-        }
-        return Ok(out);
-    }
-
-    // Weights for one (ky, kx) are held while every pixel of every output
-    // map is visited — the traversal that slashes weight reloads.
-    for ky in 0..params.kernel {
-        for kx in 0..params.kernel {
-            for o in 0..params.out_maps {
-                let group = o / out_per_group;
-                let in_base = group * in_per_group;
-                for oy in 0..out_shape.height {
-                    for ox in 0..out_shape.width {
-                        let y = (oy * params.stride) as isize - pad + ky as isize;
-                        let x = (ox * params.stride) as isize - pad + kx as isize;
-                        let mut partial = 0.0f32;
-                        for i in 0..in_per_group {
-                            partial +=
-                                input.at_padded(in_base + i, y, x) * weights.at(o, i, ky, kx);
-                        }
-                        // add-and-store
-                        *out.at_mut(o, oy, ox) += partial;
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
+    let k = params.kernel;
+    // One pass per (ky, kx): the weights for one kernel position are held
+    // while every pixel of every output map is visited, summing over Din.
+    let passes = (0..k * k).map(|p| {
+        (0..params.in_maps_per_group())
+            .map(|i| (i, p / k, p % k))
+            .collect()
+    });
+    run_passes(input, weights, bias, params, passes)
 }
 
 /// Kernel-partitioned convolution executed issue-by-issue on the

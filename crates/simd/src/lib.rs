@@ -1,9 +1,9 @@
 //! # cbrain-simd
 //!
 //! A small safe SIMD layer for the workspace's arithmetic hot loops: the
-//! reference convolution, the scheme executors' accumulation paths, the
-//! functional PE array's segmented dot products and the simulator's
-//! multiply-burst accounting.
+//! reference convolution, the scheme executors' register-blocked
+//! microkernel, the functional PE array's segmented dot products and the
+//! simulator's multiply-burst accounting.
 //!
 //! ## Dispatch strategy
 //!
@@ -24,6 +24,11 @@
 //! * element-wise kernels ([`axpy`], [`add_assign`], [`relu`]) perform the
 //!   same independent per-element operation in every backend, so lanes
 //!   cannot interact;
+//! * the convolution microkernel ([`conv_rows`]) sums every output
+//!   element's terms from `+0.0` in ascending term order in that
+//!   element's own lane and adds the sum to the accumulator once; its
+//!   register block spans output pixels and output maps, never the
+//!   reduction axis, so block and lane widths cannot reorder anything;
 //! * reductions ([`dot`], [`dot_f64`]) accumulate into a fixed number of
 //!   *vertical* partial sums ([`F32_LANES`] / [`F64_LANES`]), zero-pad the
 //!   tail block, and fold the partials in one fixed tree order. The scalar
@@ -274,11 +279,128 @@ pub fn mac_dot(bursts: &[u64], factors: &[u32]) -> u64 {
     }
 }
 
+/// Output maps (rows) one register block of [`conv_rows`] covers. Callers
+/// that gather weights per block use it to keep each block's weights
+/// contiguous.
+pub const CONV_ROWS_MAPS: usize = 4;
+
+/// Register-blocked convolution microkernel shared by the scheme
+/// executors. For every `r < rows` and `x < width`:
+///
+/// `acc[r*ld + x] += Σ_t w[t*rows + r] * src[offs[t] + x]`
+///
+/// The sum starts at `+0.0` and adds its terms in ascending `t` (no FMA),
+/// then lands in `acc` with one add — an add-and-store of the whole term
+/// list. Lanes run across independent outputs only, never across the
+/// reduction axis, so every backend is bit-identical to the scalar loop.
+/// The AVX2 arm keeps a block of [`CONV_ROWS_MAPS`] rows x 16 pixels in
+/// eight registers across the term list and masks the pixel tail; the
+/// SSE2 arm is its 4-wide copy (blocks of 8 pixels); NEON runs the scalar
+/// arm.
+///
+/// # Panics
+///
+/// Panics if `w.len() != offs.len() * rows`, if rows overlap
+/// (`rows > 1 && ld < width`), if `acc` is shorter than
+/// `(rows - 1) * ld + width`, or if some `offs[t] + width` exceeds
+/// `src.len()`.
+///
+/// # Examples
+///
+/// ```
+/// // Two output rows, three terms over a 4-pixel width.
+/// let src = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0];
+/// let offs = [0, 1, 2];
+/// let w = [1.0f32, 0.0, 0.5, 1.0, 0.25, 0.0]; // w[t*2 + r]
+/// let mut acc = [0.0f32; 8];
+/// cbrain_simd::conv_rows(&mut acc, 4, 2, 4, &w, &src, &offs);
+/// assert_eq!(acc[..4], [2.75, 4.5, 6.25, 8.0]);
+/// assert_eq!(acc[4..], [2.0, 3.0, 4.0, 5.0]);
+/// ```
+pub fn conv_rows(
+    acc: &mut [f32],
+    ld: usize,
+    rows: usize,
+    width: usize,
+    w: &[f32],
+    src: &[f32],
+    offs: &[usize],
+) {
+    assert_eq!(
+        Some(w.len()),
+        offs.len().checked_mul(rows),
+        "conv_rows weight count mismatch"
+    );
+    if rows == 0 || width == 0 {
+        return;
+    }
+    assert!(rows == 1 || ld >= width, "conv_rows rows overlap");
+    let acc_need = (rows - 1)
+        .checked_mul(ld)
+        .and_then(|n| n.checked_add(width));
+    assert!(
+        acc_need.is_some_and(|n| n <= acc.len()),
+        "conv_rows accumulator too short"
+    );
+    let src_need = offs.iter().max().map_or(Some(0), |m| m.checked_add(width));
+    assert!(
+        src_need.is_some_and(|n| n <= src.len()),
+        "conv_rows source too short"
+    );
+    // SAFETY: every index the arms touch is in bounds by the asserts
+    // above, and `Backend::Avx2` is only active after runtime detection.
+    match Backend::active() {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => unsafe { x86::conv_rows_avx2(acc, ld, rows, width, w, src, offs) },
+        #[cfg(target_arch = "x86_64")]
+        Backend::Sse2 => unsafe { x86::conv_rows_sse2(acc, ld, rows, width, w, src, offs) },
+        _ => scalar::conv_rows(acc, ld, rows, width, w, src, offs),
+    }
+}
+
 /// The canonical scalar implementations every SIMD backend must match
 /// bit-for-bit. Public (under this module) so benches and tests can time
 /// and compare the fallback explicitly without toggling global state.
 pub mod scalar {
     use super::{F32_LANES, F64_LANES};
+
+    /// Scalar [`crate::conv_rows`]: per row, the term sums of a chunk of
+    /// pixels build up from `+0.0` in ascending `t` and are then added to
+    /// `acc` (the same per-element graph as the vector arms).
+    ///
+    /// # Panics
+    ///
+    /// Panics on any out-of-range index (the public wrapper asserts the
+    /// bounds up front).
+    pub fn conv_rows(
+        acc: &mut [f32],
+        ld: usize,
+        rows: usize,
+        width: usize,
+        w: &[f32],
+        src: &[f32],
+        offs: &[usize],
+    ) {
+        const CHUNK: usize = 64;
+        let mut part = [0.0f32; CHUNK];
+        for r in 0..rows {
+            for x0 in (0..width).step_by(CHUNK) {
+                let part = &mut part[..CHUNK.min(width - x0)];
+                part.fill(0.0);
+                for (t, &off) in offs.iter().enumerate() {
+                    let wt = w[t * rows + r];
+                    let xs = &src[off + x0..][..part.len()];
+                    for (p, &v) in part.iter_mut().zip(xs) {
+                        *p += wt * v;
+                    }
+                }
+                let dst = &mut acc[r * ld + x0..][..part.len()];
+                for (d, p) in dst.iter_mut().zip(part.iter()) {
+                    *d += *p;
+                }
+            }
+        }
+    }
 
     /// Scalar [`crate::axpy`].
     pub fn axpy(dst: &mut [f32], a: f32, xs: &[f32]) {
@@ -603,6 +725,222 @@ mod x86 {
     }
 
     /// # Safety
+    /// Caller must have verified AVX2 support and the bounds
+    /// [`crate::conv_rows`] asserts.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn conv_rows_avx2(
+        acc: &mut [f32],
+        ld: usize,
+        rows: usize,
+        width: usize,
+        w: &[f32],
+        src: &[f32],
+        offs: &[usize],
+    ) {
+        let (acc, w, src) = (acc.as_mut_ptr(), w.as_ptr(), src.as_ptr());
+        let mut r = 0;
+        while r < rows {
+            let n = (rows - r).min(super::CONV_ROWS_MAPS);
+            let (acc, w) = (acc.add(r * ld), w.add(r));
+            match n {
+                4 => rows_avx2::<4>(acc, ld, rows, width, w, src, offs),
+                3 => rows_avx2::<3>(acc, ld, rows, width, w, src, offs),
+                2 => rows_avx2::<2>(acc, ld, rows, width, w, src, offs),
+                _ => rows_avx2::<1>(acc, ld, rows, width, w, src, offs),
+            }
+            r += n;
+        }
+    }
+
+    /// `R` rows of [`conv_rows_avx2`]: full 16-pixel blocks, then one
+    /// masked tail block of 1..=16 pixels.
+    ///
+    /// # Safety
+    /// AVX2 must be available; `acc` and `w` point at the block's first
+    /// row, and the bounds [`crate::conv_rows`] asserts hold for the
+    /// `R` rows from there.
+    #[target_feature(enable = "avx2")]
+    unsafe fn rows_avx2<const R: usize>(
+        acc: *mut f32,
+        ld: usize,
+        rows: usize,
+        width: usize,
+        w: *const f32,
+        src: *const f32,
+        offs: &[usize],
+    ) {
+        let mut x = 0;
+        while x + 16 <= width {
+            block_avx2::<R, 2, false>(acc.add(x), ld, rows, w, src.add(x), offs, 0);
+            x += 16;
+        }
+        let (acc, src, rem) = (acc.add(x), src.add(x), width - x);
+        match rem {
+            0 => {}
+            1..=7 => block_avx2::<R, 1, true>(acc, ld, rows, w, src, offs, rem),
+            8 => block_avx2::<R, 1, false>(acc, ld, rows, w, src, offs, 0),
+            _ => block_avx2::<R, 2, true>(acc, ld, rows, w, src, offs, rem - 8),
+        }
+    }
+
+    /// One register block: `R` rows x `V` vectors of 8 pixels held in
+    /// `R * V` accumulators across the whole term list. With `MASKED`,
+    /// the last vector covers only its first `tail` lanes.
+    ///
+    /// # Safety
+    /// As for [`rows_avx2`], with `acc` and `src` advanced to the block's
+    /// first pixel and `V * 8` (or `8 * (V - 1) + tail` when `MASKED`)
+    /// pixels left in every row.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn block_avx2<const R: usize, const V: usize, const MASKED: bool>(
+        acc: *mut f32,
+        ld: usize,
+        rows: usize,
+        w: *const f32,
+        src: *const f32,
+        offs: &[usize],
+        tail: usize,
+    ) {
+        let mask = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(tail as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        let mut sum = [[_mm256_setzero_ps(); V]; R];
+        for (t, &off) in offs.iter().enumerate() {
+            let p = src.add(off);
+            let mut xs = [_mm256_setzero_ps(); V];
+            for (v, x) in xs.iter_mut().enumerate() {
+                *x = if MASKED && v + 1 == V {
+                    _mm256_maskload_ps(p.add(8 * v), mask)
+                } else {
+                    _mm256_loadu_ps(p.add(8 * v))
+                };
+            }
+            let wt = w.add(t * rows);
+            for (r, s) in sum.iter_mut().enumerate() {
+                let wv = _mm256_set1_ps(*wt.add(r));
+                for (s, x) in s.iter_mut().zip(&xs) {
+                    *s = _mm256_add_ps(*s, _mm256_mul_ps(wv, *x));
+                }
+            }
+        }
+        for (r, s) in sum.iter().enumerate() {
+            for (v, s) in s.iter().enumerate() {
+                let p = acc.add(r * ld + 8 * v);
+                if MASKED && v + 1 == V {
+                    let a = _mm256_maskload_ps(p, mask);
+                    _mm256_maskstore_ps(p, mask, _mm256_add_ps(a, *s));
+                } else {
+                    _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), *s));
+                }
+            }
+        }
+    }
+
+    /// # Safety
+    /// Caller must run on x86_64 and uphold the bounds
+    /// [`crate::conv_rows`] asserts.
+    pub unsafe fn conv_rows_sse2(
+        acc: &mut [f32],
+        ld: usize,
+        rows: usize,
+        width: usize,
+        w: &[f32],
+        src: &[f32],
+        offs: &[usize],
+    ) {
+        // Pixels below one 4-wide vector take the scalar arm, which
+        // evaluates the same per-element graph.
+        let vec_width = width & !3;
+        if vec_width < width {
+            scalar::conv_rows(
+                &mut acc[vec_width..],
+                ld,
+                rows,
+                width - vec_width,
+                w,
+                &src[vec_width..],
+                offs,
+            );
+        }
+        let (acc, w, src) = (acc.as_mut_ptr(), w.as_ptr(), src.as_ptr());
+        let mut r = 0;
+        while r < rows {
+            let n = (rows - r).min(super::CONV_ROWS_MAPS);
+            let (acc, w) = (acc.add(r * ld), w.add(r));
+            match n {
+                4 => rows_sse2::<4>(acc, ld, rows, vec_width, w, src, offs),
+                3 => rows_sse2::<3>(acc, ld, rows, vec_width, w, src, offs),
+                2 => rows_sse2::<2>(acc, ld, rows, vec_width, w, src, offs),
+                _ => rows_sse2::<1>(acc, ld, rows, vec_width, w, src, offs),
+            }
+            r += n;
+        }
+    }
+
+    /// `R` rows of [`conv_rows_sse2`] over a width that is a multiple of 4.
+    ///
+    /// # Safety
+    /// `acc` and `w` point at the block's first row, and the bounds
+    /// [`crate::conv_rows`] asserts hold for the `R` rows from there.
+    unsafe fn rows_sse2<const R: usize>(
+        acc: *mut f32,
+        ld: usize,
+        rows: usize,
+        width: usize,
+        w: *const f32,
+        src: *const f32,
+        offs: &[usize],
+    ) {
+        let mut x = 0;
+        while x + 8 <= width {
+            block_sse2::<R, 2>(acc.add(x), ld, rows, w, src.add(x), offs);
+            x += 8;
+        }
+        if x < width {
+            block_sse2::<R, 1>(acc.add(x), ld, rows, w, src.add(x), offs);
+        }
+    }
+
+    /// The SSE2 register block: `R` rows x `V` vectors of 4 pixels.
+    ///
+    /// # Safety
+    /// As for [`rows_sse2`], with `acc` and `src` advanced to the block's
+    /// first pixel and `V * 4` pixels left in every row.
+    #[inline]
+    unsafe fn block_sse2<const R: usize, const V: usize>(
+        acc: *mut f32,
+        ld: usize,
+        rows: usize,
+        w: *const f32,
+        src: *const f32,
+        offs: &[usize],
+    ) {
+        let mut sum = [[_mm_setzero_ps(); V]; R];
+        for (t, &off) in offs.iter().enumerate() {
+            let p = src.add(off);
+            let mut xs = [_mm_setzero_ps(); V];
+            for (v, x) in xs.iter_mut().enumerate() {
+                *x = _mm_loadu_ps(p.add(4 * v));
+            }
+            let wt = w.add(t * rows);
+            for (r, s) in sum.iter_mut().enumerate() {
+                let wv = _mm_set1_ps(*wt.add(r));
+                for (s, x) in s.iter_mut().zip(&xs) {
+                    *s = _mm_add_ps(*s, _mm_mul_ps(wv, *x));
+                }
+            }
+        }
+        for (r, s) in sum.iter().enumerate() {
+            for (v, s) in s.iter().enumerate() {
+                let p = acc.add(r * ld + 4 * v);
+                _mm_storeu_ps(p, _mm_add_ps(_mm_loadu_ps(p), *s));
+            }
+        }
+    }
+
+    /// # Safety
     /// Caller must have verified AVX2 support.
     #[target_feature(enable = "avx2")]
     pub unsafe fn mac_dot_avx2(bursts: &[u64], factors: &[u32]) -> u64 {
@@ -886,6 +1224,48 @@ mod tests {
         let big = [u64::MAX, u64::MAX / 3, 1 << 63];
         let f = [7u32, 9, 2];
         assert_eq!(mac_dot(&big, &f), scalar::mac_dot(&big, &f));
+    }
+
+    /// The SSE2 arm of `conv_rows` against the scalar one, called directly
+    /// because dispatch never picks it on an AVX2 host (the dispatched arm
+    /// is `tests/prop_simd.rs`'s job): rows on both sides of the 4-map
+    /// block, every pixel tail, `ld > width`.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn conv_rows_sse2_matches_scalar_bitwise() {
+        for rows in 1..=9 {
+            for width in 0..=33 {
+                for terms in [0, 1, 5] {
+                    let ld = width + 3;
+                    let seed = (rows * 64 + width) as u64 * 8 + terms as u64;
+                    let src = vec_f32(width + 2 * terms + 7, seed);
+                    let offs: Vec<usize> = (0..terms).map(|t| (t * 5 + 1) % 8).collect();
+                    let w = vec_f32(terms * rows, seed ^ 0x77);
+                    let base = vec_f32((rows - 1) * ld + width, seed ^ 0x99);
+                    let mut want = base.clone();
+                    scalar::conv_rows(&mut want, ld, rows, width, &w, &src, &offs);
+                    let mut got = base;
+                    // SAFETY: SSE2 is baseline on x86_64, and the buffers
+                    // satisfy `conv_rows`'s bounds by construction (`src`
+                    // covers every offset + width).
+                    unsafe { x86::conv_rows_sse2(&mut got, ld, rows, width, &w, &src, &offs) };
+                    for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "rows={rows} width={width} terms={terms} at {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "conv_rows source too short")]
+    fn conv_rows_rejects_short_source() {
+        let mut acc = [0.0f32; 4];
+        conv_rows(&mut acc, 4, 1, 4, &[1.0], &[0.0; 5], &[2]);
     }
 
     #[test]

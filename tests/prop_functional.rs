@@ -207,3 +207,81 @@ fn pe_level_partition_equals_reference() {
         assert!(diff < 1e-3, "diff={diff} k={k} s={s}");
     }
 }
+
+/// FNV-1a over the output's `f32` bit patterns.
+fn fnv_bits(t: &Tensor3) -> u64 {
+    t.as_slice()
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x1_0000_01b3)
+        })
+}
+
+/// Pins the exact output bits of the partition, inter (`tin = 16`) and
+/// improved-inter executors on seeded random floats, so any rewrite of
+/// their loop nests must keep every executor's per-pixel term order and
+/// add-and-store points. The geometries cover the strided partition
+/// path (11x11 s4), a padded grouped strided layer, unit-stride rows 6
+/// and 13 wide, a 1x1 layer, a depthwise strided layer and an output
+/// group of 6 maps (not a multiple of 4). The constants were recorded
+/// from the per-pixel and `axpy` executors these loops replaced; the
+/// scalar and SIMD backends agree bitwise, so both CI legs check them.
+#[test]
+fn executor_output_bits_are_pinned() {
+    use cbrain::functional::inter_forward;
+    let cases = [
+        (ConvParams::new(3, 8, 11, 4, 0), TensorShape::new(3, 31, 31)),
+        (
+            ConvParams::grouped(6, 8, 5, 2, 2, 2),
+            TensorShape::new(6, 15, 15),
+        ),
+        (ConvParams::new(5, 7, 3, 1, 1), TensorShape::new(5, 6, 6)),
+        (ConvParams::new(5, 7, 3, 1, 1), TensorShape::new(5, 5, 13)),
+        (ConvParams::new(9, 5, 1, 1, 0), TensorShape::new(9, 6, 6)),
+        (
+            ConvParams::depthwise(6, 3, 2, 1),
+            TensorShape::new(6, 11, 11),
+        ),
+        (
+            ConvParams::grouped(4, 12, 3, 1, 1, 2),
+            TensorShape::new(4, 7, 9),
+        ),
+    ];
+    // (partition, inter tin=16, improved-inter) per case.
+    const GOLDEN: [[u64; 3]; 7] = [
+        [0x5320b3e6a7f44f28, 0xfec8ac9cba687533, 0xca2609cba1691104],
+        [0xfedcc40aed0fed49, 0xb580b3ec228d0333, 0xafa25ecc315a9820],
+        [0x3fb314328e35e27c, 0xc6c39e8b9c71e5af, 0x3fb314328e35e27c],
+        [0x56616d773bcf84ff, 0x1395c29e5bd6e47f, 0x56616d773bcf84ff],
+        [0x2c05abbcf10019f2, 0x2c05abbcf10019f2, 0x2c05abbcf10019f2],
+        [0xd2c97f76a69f8b20, 0xace61dd2adf4bbcf, 0x4260dde491c30c27],
+        [0x51a1b49e0ace275e, 0x1b9a559f0a33870c, 0x51a1b49e0ace275e],
+    ];
+    let mut got = Vec::new();
+    for (ci, (params, shape)) in cases.iter().enumerate() {
+        let seed = 0x60_1D + ci as u64 * 7919;
+        let input = Tensor3::random(*shape, seed);
+        let weights = ConvWeights::random(params, seed ^ 0xA5);
+        let mut rng = XorShift64::seed_from_u64(seed ^ 0xB1A5);
+        let bias: Vec<f32> = (0..params.out_maps)
+            .map(|_| rng.range_f32(-1.0, 1.0))
+            .collect();
+        let b = Some(bias.as_slice());
+        got.push([
+            fnv_bits(&partition_forward(&input, &weights, b, params).expect("computes")),
+            fnv_bits(&inter_forward(&input, &weights, b, params, 16).expect("computes")),
+            fnv_bits(&improved_inter_forward(&input, &weights, b, params).expect("computes")),
+        ]);
+    }
+    let rendered: Vec<String> = got
+        .iter()
+        .map(|h| format!("[{:#018x}, {:#018x}, {:#018x}]", h[0], h[1], h[2]))
+        .collect();
+    assert_eq!(
+        got,
+        GOLDEN,
+        "executor bits moved; now:\n{}",
+        rendered.join(",\n")
+    );
+}

@@ -147,6 +147,35 @@ fn mac_dot_equal_across_widths_and_wrapping() {
     assert_eq!(s, v, "mac_dot wrapping edge");
 }
 
+#[test]
+fn conv_rows_bitwise_across_blocks_tails_and_term_counts() {
+    // Rows on both sides of the 4-map register block, every pixel tail of
+    // the 16-pixel block, empty/single/odd term lists, and a leading
+    // dimension wider than the row.
+    for rows in 1..=9 {
+        for width in 0..=33 {
+            for terms in [0, 1, 3, 7] {
+                let ld = width + 5;
+                let seed = ((rows * 64 + width) * 8 + terms) as u64;
+                let src = random_f32(width + 4 * terms + 9, 0x10C + seed);
+                let offs: Vec<usize> = (0..terms).map(|t| (t * 7 + 2) % (4 * terms + 9)).collect();
+                let w = random_f32(terms * rows, 0x20D + seed);
+                let base = random_f32((rows - 1) * ld + width, 0x30E + seed);
+                let (s, v) = with_both_backends(|| {
+                    let mut acc = base.clone();
+                    simd::conv_rows(&mut acc, ld, rows, width, &w, &src, &offs);
+                    acc
+                });
+                assert_bits_eq(
+                    &s,
+                    &v,
+                    &format!("conv_rows rows={rows} width={width} terms={terms}"),
+                );
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Hot-loop differentials: conv reference, im2col, fc, eltwise, relu.
 // ---------------------------------------------------------------------
@@ -177,9 +206,22 @@ fn conv_cases() -> Vec<(ConvParams, TensorShape)> {
         ConvParams::depthwise(3, 1, 1, 0),
         TensorShape::new(3, 2, 17),
     ));
-    // Strided layers exercise the per-pixel fallback path.
+    // Strided layers: the reference's per-pixel loop, and the executors'
+    // polyphase taps.
     cases.push((ConvParams::new(3, 4, 11, 4, 0), TensorShape::new(3, 23, 23)));
     cases.push((ConvParams::new(4, 3, 3, 2, 1), TensorShape::new(4, 9, 9)));
+    // Narrow rows and output groups that are not a multiple of the
+    // microkernel's 4-map block: widths 6 and 13 (NiN conv4, AlexNet
+    // conv3), a 16 + 2 strided tail, a 33-wide 1x1 and a grouped
+    // strided layer with 7 maps per group.
+    cases.push((ConvParams::new(4, 6, 3, 1, 1), TensorShape::new(4, 3, 6)));
+    cases.push((ConvParams::new(3, 9, 3, 1, 1), TensorShape::new(3, 3, 13)));
+    cases.push((ConvParams::new(3, 5, 11, 4, 0), TensorShape::new(3, 15, 79)));
+    cases.push((ConvParams::new(7, 7, 1, 1, 0), TensorShape::new(7, 2, 33)));
+    cases.push((
+        ConvParams::grouped(4, 14, 3, 2, 1, 2),
+        TensorShape::new(4, 5, 27),
+    ));
     cases
 }
 

@@ -91,6 +91,82 @@ fn two_concurrent_clients_render_byte_identical_reports() {
     server.join().expect("server thread").expect("clean exit");
 }
 
+/// A small sequential network on which the adaptive policy picks both
+/// functional executor families: a strided kernel-partition layer (`c1`,
+/// Din 3), a padded 3x3 and a 1x1 improved-inter layer (`c2`, `c3`,
+/// Din 16) and a grouped partition layer (`c4`, Din 12 per group).
+const FORWARD_SPEC: &str = "\
+network fwdnet input 3x35x35
+conv c1 @3x35x35 out=16 k=7 s=2 pad=0 groups=1
+conv c2 @16x15x15 out=16 k=3 s=1 pad=1 groups=1
+conv c3 @16x15x15 out=24 k=1 s=1 pad=0 groups=1
+conv c4 @24x15x15 out=32 k=3 s=1 pad=1 groups=2
+fc head @32x15x15 out=10
+";
+
+#[test]
+fn forward_request_matches_in_process_forward_bit_for_bit() {
+    use cbrain::forward::{forward, NetworkWeights};
+    use cbrain::model::Tensor3;
+    use cbrain_compiler::Scheme;
+
+    let _watchdog = common::watchdog();
+    let daemon = Daemon::bind("127.0.0.1:0", DaemonOptions::default()).expect("bind loopback");
+    let addr = daemon.local_addr().to_string();
+    let server = thread::spawn(move || daemon.run());
+
+    let run = RunRequest {
+        network: NetworkSource::Spec(FORWARD_SPEC.into()),
+        ..RunRequest::default()
+    };
+    let seed = 0x00F0_2A4D;
+    let mut client = Client::builder(&addr).connect().expect("connect");
+    let remote = client
+        .submit(
+            &Request::Forward {
+                run: run.clone(),
+                seed,
+            },
+            |_| {},
+        )
+        .expect("forward");
+    let Event::Forward {
+        output_len,
+        checksum,
+        head,
+    } = remote
+    else {
+        panic!("expected a forward event, got {remote:?}");
+    };
+
+    // The same pass in process, seeded the way the daemon seeds it.
+    let net = cbrain::model::spec::parse(FORWARD_SPEC).expect("valid spec");
+    let input = Tensor3::random(net.input(), seed);
+    let weights = NetworkWeights::random(&net, seed + 1);
+    let local = forward(&net, &input, &weights, run.policy, &run.config()).expect("forward");
+    let schemes: Vec<Option<Scheme>> = local.schemes.iter().map(|(_, s)| *s).collect();
+    assert!(schemes.contains(&Some(Scheme::Partition)), "{schemes:?}");
+    assert!(
+        schemes.contains(&Some(Scheme::InterImproved)),
+        "{schemes:?}"
+    );
+
+    let local_checksum: f64 = local.output.iter().map(|v| f64::from(*v)).sum();
+    assert_eq!(output_len, local.output.len() as u64);
+    assert_eq!(checksum.to_bits(), local_checksum.to_bits());
+    let local_head: Vec<u64> = local
+        .output
+        .iter()
+        .take(8)
+        .map(|v| f64::from(*v).to_bits())
+        .collect();
+    let remote_head: Vec<u64> = head.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(remote_head, local_head);
+
+    client.submit(&Request::Shutdown, |_| {}).expect("shutdown");
+    server.join().expect("server thread").expect("clean exit");
+}
+
 /// This process's current thread count, if the platform exposes it.
 fn os_thread_count() -> Option<usize> {
     Some(std::fs::read_dir("/proc/self/task").ok()?.count())

@@ -45,7 +45,7 @@
 //! single `write_all` of the framed record, so an interrupted append can
 //! only ever produce a torn tail, never a torn middle.
 
-use crate::persist::fnv1a64;
+use crate::persist::{fnv1a64, put_str, put_u64, Cursor, PersistError};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Write};
@@ -147,61 +147,12 @@ pub fn digest(text: &str) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Record codec: little-endian, length-prefixed strings.
+// Record codec: the persist format's primitives (little-endian,
+// length-prefixed strings).
 // ---------------------------------------------------------------------
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
 
 fn corrupt<T>(why: impl Into<String>) -> Result<T, JournalError> {
     Err(JournalError::Corrupt(why.into()))
-}
-
-/// Bounds-checked decode cursor over a record payload.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], JournalError> {
-        match self.buf.get(self.pos..self.pos + n) {
-            Some(s) => {
-                self.pos += n;
-                Ok(s)
-            }
-            None => corrupt(format!(
-                "record payload truncated at byte {} (wanted {n} more)",
-                self.pos
-            )),
-        }
-    }
-
-    fn u64(&mut self) -> Result<u64, JournalError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, JournalError> {
-        let len = self.u64()?;
-        let len = usize::try_from(len)
-            .or_else(|_| corrupt(format!("string length {len} exceeds usize")))?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).or_else(|_| corrupt("string payload is not valid UTF-8"))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
 }
 
 /// Encodes one cell as a framed record: length + checksum + payload.
@@ -221,16 +172,20 @@ fn record_bytes(cell: &Cell) -> Vec<u8> {
 /// Decodes one record payload back into a cell.
 fn decode_cell(payload: &[u8]) -> Result<Cell, JournalError> {
     let mut c = Cursor::new(payload);
-    let cell = Cell {
-        name: c.str()?,
-        digest: c.u64()?,
-        provenance: c.str()?,
-        output: c.str()?,
+    let mut decode = || -> Result<Cell, PersistError> {
+        Ok(Cell {
+            name: c.str()?,
+            digest: c.u64()?,
+            provenance: c.str()?,
+            output: c.str()?,
+        })
     };
-    if !c.done() {
-        return corrupt("trailing bytes inside a record payload");
+    match decode() {
+        Ok(cell) if c.done() => Ok(cell),
+        Ok(_) => corrupt("trailing bytes inside a record payload"),
+        Err(PersistError::Corrupt(why)) => corrupt(why),
+        Err(PersistError::Io(e)) => Err(e.into()),
     }
-    Ok(cell)
 }
 
 fn header_bytes() -> [u8; HEADER_LEN] {

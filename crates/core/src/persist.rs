@@ -119,7 +119,7 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -131,14 +131,15 @@ fn put_bool(out: &mut Vec<u8>, v: bool) {
     put_u8(out, u8::from(v));
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
+pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u64(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Decode cursor over the payload. Every read is bounds-checked; running
-/// off the end is a corruption, not a panic.
-struct Cursor<'a> {
+/// Decode cursor over a payload (this file's, or a journal record's).
+/// Every read is bounds-checked; running off the end is a corruption,
+/// not a panic.
+pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
@@ -150,7 +151,7 @@ fn corrupt<T>(why: impl Into<String>) -> Decoded<T> {
 }
 
 impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
@@ -175,7 +176,7 @@ impl<'a> Cursor<'a> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self) -> Decoded<u64> {
+    pub(crate) fn u64(&mut self) -> Decoded<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
@@ -192,13 +193,13 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn str(&mut self) -> Decoded<String> {
+    pub(crate) fn str(&mut self) -> Decoded<String> {
         let len = self.usize()?;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).or_else(|_| corrupt("string payload is not valid UTF-8"))
     }
 
-    fn done(&self) -> bool {
+    pub(crate) fn done(&self) -> bool {
         self.pos == self.buf.len()
     }
 }
@@ -608,16 +609,6 @@ fn get_entry(c: &mut Cursor) -> Decoded<(LayerKey, CachedLayer)> {
     ))
 }
 
-/// FNV-1a 64-bit, the checksum of the payload.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 // ---------------------------------------------------------------------
 // Public entry/key codecs.
 //
@@ -629,10 +620,16 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 // produced, because the entry is a pure function of the key).
 // ---------------------------------------------------------------------
 
-/// FNV-1a 64-bit over arbitrary bytes (the same function the file
-/// checksum uses). Stable across platforms and versions of this crate.
+/// FNV-1a 64-bit over arbitrary bytes: the file's payload checksum and
+/// the journal's record checksum. Stable across platforms and versions
+/// of this crate.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a(bytes)
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
 }
 
 /// The canonical binary encoding of a [`LayerKey`] — the format's key
@@ -646,7 +643,7 @@ pub fn key_bytes(key: &LayerKey) -> Vec<u8> {
 /// A key's stable 64-bit identity: [`fnv1a64`] over [`key_bytes`]. The
 /// fleet ring hashes this onto shards.
 pub fn key_hash(key: &LayerKey) -> u64 {
-    fnv1a(&key_bytes(key))
+    fnv1a64(&key_bytes(key))
 }
 
 /// Decodes a [`LayerKey`] written by [`key_bytes`].
@@ -732,7 +729,7 @@ fn encode(cache: &CompiledLayerCache) -> Vec<u8> {
     file.extend_from_slice(&MAGIC);
     put_u32(&mut file, FORMAT_VERSION);
     put_u64(&mut file, payload.len() as u64);
-    put_u64(&mut file, fnv1a(&payload));
+    put_u64(&mut file, fnv1a64(&payload));
     file.extend_from_slice(&payload);
     file
 }
@@ -829,7 +826,7 @@ pub fn load_into(cache: &CompiledLayerCache, path: &Path) -> Result<LoadOutcome,
             payload.len()
         ));
     }
-    if fnv1a(payload) != checksum {
+    if fnv1a64(payload) != checksum {
         return corrupt("checksum mismatch");
     }
     let mut c = Cursor::new(payload);
@@ -1004,7 +1001,7 @@ mod tests {
         bad.push(0xAB);
         let plen = (bad.len() - 24) as u64;
         bad[8..16].copy_from_slice(&plen.to_le_bytes());
-        let ck = fnv1a(&bad[24..]);
+        let ck = fnv1a64(&bad[24..]);
         bad[16..24].copy_from_slice(&ck.to_le_bytes());
         std::fs::write(&path, &bad).unwrap();
         let res = load_into(&CompiledLayerCache::new(), &path);

@@ -259,6 +259,11 @@ pub trait CompileBackend: Send + Sync + fmt::Debug {
     ) -> Result<(), RunError>;
 }
 
+/// A layer's probe keys for the batched first visit, and the pruned
+/// oracle's bound-ordered `(bound, scheme)` tail (see
+/// [`Runner::probe_keys`]).
+type Probe = (Vec<LayerKey>, Vec<(u64, Scheme)>);
+
 /// The network runner: compiles each selected layer under the policy and
 /// executes it on the simulated machine.
 ///
@@ -323,29 +328,38 @@ impl Runner {
         &self.opts
     }
 
-    /// The cache keys a layer's compile will probe, in deterministic
-    /// order. One key for a fixed or heuristic policy; all four schemes
-    /// for the Oracle's exhaustive sweep; non-conv layers have a fixed
-    /// mapping and always collapse to one `Scheme::Inter` key.
-    fn probe_keys(&self, layer: &Layer, policy: Policy) -> Vec<LayerKey> {
-        match layer.as_conv() {
-            None => vec![LayerKey::new(layer, Scheme::Inter, &self.cfg, &self.opts)],
-            Some(conv) => match policy {
-                Policy::Oracle => Scheme::ALL
+    /// The keys a layer's plan probes in the batched first visit, plus
+    /// the pruned oracle's bound-ordered tail (empty for every other
+    /// policy). One key for a fixed or heuristic policy; all four schemes
+    /// for the Oracle's exhaustive sweep; the cheapest-analytic-bound
+    /// scheme for the pruned oracle, whose other schemes wait for
+    /// [`Runner::bound_skip`]. Non-conv layers have a fixed mapping and
+    /// always collapse to one `Scheme::Inter` key.
+    fn probe_keys(&self, layer: &Layer, policy: Policy) -> Result<Probe, RunError> {
+        let key = |scheme| LayerKey::new(layer, scheme, &self.cfg, &self.opts);
+        let Some(conv) = layer.as_conv() else {
+            return Ok((vec![key(Scheme::Inter)], Vec::new()));
+        };
+        Ok(match policy {
+            Policy::Oracle => (Scheme::ALL.into_iter().map(key).collect(), Vec::new()),
+            Policy::OraclePruned => {
+                // Every scheme with its analytic compute-cycle lower bound
+                // (scaled to the run's batch), ascending. The sort is
+                // stable, so ties keep `Scheme::ALL` order.
+                let geom = ConvGeometry::from_layer(layer)?;
+                let mut order: Vec<(u64, Scheme)> = Scheme::ALL
                     .into_iter()
-                    .map(|s| LayerKey::new(layer, s, &self.cfg, &self.opts))
-                    .collect(),
-                Policy::OraclePruned => {
-                    unreachable!("the pruned oracle has its own plan/resolve path")
-                }
-                _ => vec![LayerKey::new(
-                    layer,
-                    scheme_for(policy, conv, &self.cfg),
-                    &self.cfg,
-                    &self.opts,
-                )],
-            },
-        }
+                    .map(|s| {
+                        let bound = analytic_cost(&geom, s, &self.cfg).compute_cycles;
+                        (bound.saturating_mul(self.opts.batch as u64), s)
+                    })
+                    .collect();
+                order.sort_by_key(|&(bound, _)| bound);
+                let (_, cheapest) = order.remove(0);
+                (vec![key(cheapest)], order)
+            }
+            _ => (vec![key(scheme_for(policy, conv, &self.cfg))], Vec::new()),
+        })
     }
 
     /// Executes a compile work-list: through the installed
@@ -369,224 +383,111 @@ impl Runner {
         Ok(())
     }
 
-    /// The pruned oracle's per-layer visit order: every scheme paired
-    /// with its analytic compute-cycle lower bound (scaled to the run's
-    /// batch), sorted ascending. The sort is stable, so ties keep
-    /// `Scheme::ALL` order — the same tie-break the exhaustive Oracle's
-    /// strict-`<` minimum applies.
-    fn pruned_scheme_order(&self, layer: &Layer) -> Result<Vec<(u64, Scheme)>, RunError> {
-        let geom = ConvGeometry::from_layer(layer)?;
-        let mut order: Vec<(u64, Scheme)> = Scheme::ALL
-            .into_iter()
-            .map(|s| {
-                let bound = analytic_cost(&geom, s, &self.cfg)
-                    .compute_cycles
-                    .saturating_mul(self.opts.batch as u64);
-                (bound, s)
-            })
-            .collect();
-        order.sort_by_key(|&(bound, _)| bound);
-        Ok(order)
-    }
-
-    /// How many of the cheapest-bound candidates the pruned oracle
-    /// simulates unconditionally per conv layer. Fanning this pair onto
-    /// the job pool (or a remote backend) as one batch recovers compile
-    /// parallelism inside the pruned search; everything after the pair
-    /// keeps the serial bound-skip. Extra speculative simulations only
-    /// tighten the running bound — selection is unchanged because the
-    /// winner is the `Scheme::ALL`-order strict-`<` minimum over
-    /// whatever was simulated, and every possible minimum is.
-    const PRUNED_SPECULATION: usize = 2;
-
-    /// The pruned oracle's phase 1+2: simulate the two cheapest-bound
-    /// candidates unconditionally (compiled as one batch through the
-    /// pool or [`CompileBackend`]), then visit the remaining schemes
-    /// cheapest-bound-first, skipping any whose analytic lower bound
-    /// already exceeds the best simulated candidate. Sound because the
-    /// machine's total can never undercut its compute cycles
-    /// (`stats.cycles >= compute_cycles`): a skipped scheme's true cycle
-    /// count exceeds the running best, so it can be neither the minimum
-    /// nor a `Scheme::ALL`-order tie for it. The speculative pair is a
-    /// fixed prefix of the deterministic bound order, so the visit set —
-    /// and with it the hit/miss counters — is identical at every
-    /// [`RunOptions::jobs`] value and under any backend.
-    fn plan_and_compile_pruned(&self, layers: &[&Layer]) -> Result<(u64, u64), RunError> {
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        for &layer in layers {
-            if layer.as_conv().is_none() {
-                let key = LayerKey::new(layer, Scheme::Inter, &self.cfg, &self.opts);
-                if self.cache.contains(&key) {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                    self.compile_worklist(vec![(key, layer)])?;
-                }
-                continue;
-            }
-            let order = self.pruned_scheme_order(layer)?;
-            let spec_n = order.len().min(Self::PRUNED_SPECULATION);
-
-            // Speculative prefix: account, then compile as one batch.
-            let mut pair: Vec<(LayerKey, &Layer)> = Vec::new();
-            for &(_, scheme) in &order[..spec_n] {
-                let key = LayerKey::new(layer, scheme, &self.cfg, &self.opts);
-                if self.cache.contains(&key) {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                    pair.push((key, layer));
-                }
-            }
-            self.compile_worklist(pair)?;
-            let mut best: Option<u64> = None;
-            for &(_, scheme) in &order[..spec_n] {
-                let key = LayerKey::new(layer, scheme, &self.cfg, &self.opts);
-                let entry = self
-                    .cache
-                    .peek(&key)
-                    .expect("the speculative pair was just compiled");
-                best = Some(best.map_or(entry.stats.cycles, |b| b.min(entry.stats.cycles)));
-            }
-
-            // Tail: serial bound-skip, each result tightening the bound.
-            for &(bound, scheme) in &order[spec_n..] {
-                if best.is_some_and(|b| bound > b) {
-                    continue;
-                }
-                let key = LayerKey::new(layer, scheme, &self.cfg, &self.opts);
-                let entry = match self.cache.peek(&key) {
-                    Some(entry) => {
-                        hits += 1;
-                        entry
-                    }
-                    None => {
-                        misses += 1;
-                        self.compile_worklist(vec![(key, layer)])?;
-                        self.cache
-                            .peek(&key)
-                            .expect("compile_worklist cached the key")
-                    }
-                };
-                best = Some(best.map_or(entry.stats.cycles, |b| b.min(entry.stats.cycles)));
-            }
-            // Winner re-fetch, mirroring the exhaustive Oracle's
-            // accounting convention.
-            hits += 1;
-        }
-        self.cache.record(hits, misses);
-        Ok((hits, misses))
-    }
-
-    /// Phase 1+2 of a run: serial hit/miss accounting over every probe
-    /// key in layer order, then a (possibly parallel) compile of the
-    /// unique misses. Returns `(hits, misses)` for the report; on return
-    /// every probe key is present in the cache.
+    /// Plans a run: accounts, compiles and picks every layer's winning
+    /// entry. Returns `(hits, misses, winners)`, one winner per layer in
+    /// layer order.
     ///
-    /// The accounting happens *before* any compile, against the cache
-    /// state at entry plus a local seen-set — so the counts depend only
-    /// on the layer sequence and prior cache contents, never on how the
-    /// compile work-list is scheduled across threads.
-    fn plan_and_compile(&self, layers: &[&Layer], policy: Policy) -> Result<(u64, u64), RunError> {
-        if policy == Policy::OraclePruned {
-            return self.plan_and_compile_pruned(layers);
-        }
+    /// Every probe key is accounted serially in layer order against the
+    /// cache state at entry plus a local seen-set, *before* any compile;
+    /// the unique misses then compile as one work-list. The pruned
+    /// oracle's tails follow serially in layer order. So the counts
+    /// depend only on the layer sequence and prior cache contents, never
+    /// on how a work-list is scheduled across threads or a backend.
+    ///
+    /// The winner is the candidate with the fewest cycles, ties broken
+    /// in `Scheme::ALL` order. A layer that weighed several candidates
+    /// fetches its winner back out of the cache: one guaranteed hit.
+    fn plan(
+        &self,
+        layers: &[&Layer],
+        policy: Policy,
+    ) -> Result<(u64, u64, Vec<Arc<CachedLayer>>), RunError> {
+        let probes = layers
+            .iter()
+            .map(|layer| self.probe_keys(layer, policy))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut seen: HashSet<LayerKey> = HashSet::new();
         let mut hits = 0u64;
         let mut misses = 0u64;
         let mut worklist: Vec<(LayerKey, &Layer)> = Vec::new();
-        for layer in layers {
-            for key in self.probe_keys(layer, policy) {
-                if self.cache.contains(&key) || seen.contains(&key) {
+        for (&layer, (keys, _)) in layers.iter().zip(&probes) {
+            for &key in keys {
+                if self.cache.contains(&key) || !seen.insert(key) {
                     hits += 1;
                 } else {
                     misses += 1;
-                    seen.insert(key);
                     worklist.push((key, layer));
                 }
             }
-            if policy == Policy::Oracle && layer.as_conv().is_some() {
-                // After the sweep the winning scheme is fetched back out
-                // of the cache: a guaranteed hit on every Oracle layer.
-                hits += 1;
-            }
         }
         self.compile_worklist(worklist)?;
-        self.cache.record(hits, misses);
-        Ok((hits, misses))
-    }
 
-    /// Fetches the cached entry a layer executes under `policy`; for the
-    /// Oracle that is the cheapest scheme (ties broken in `Scheme::ALL`
-    /// order). Every key must already be cached (see `plan_and_compile`).
-    fn resolve(&self, layer: &Layer, policy: Policy) -> Arc<CachedLayer> {
-        if policy == Policy::OraclePruned {
-            return self.resolve_pruned(layer);
-        }
-        let mut best: Option<Arc<CachedLayer>> = None;
-        for key in self.probe_keys(layer, policy) {
-            let entry = self
-                .cache
-                .peek(&key)
-                .expect("plan_and_compile cached every probe key");
-            if best
-                .as_ref()
-                .is_none_or(|b| entry.stats.cycles < b.stats.cycles)
-            {
-                best = Some(entry);
+        let mut winners = Vec::with_capacity(layers.len());
+        for (&layer, (keys, tail)) in layers.iter().zip(probes) {
+            let mut visited: Vec<(Scheme, Arc<CachedLayer>)> = keys
+                .iter()
+                .map(|key| {
+                    let entry = self
+                        .cache
+                        .peek(key)
+                        .expect("the work-list cached every key");
+                    (key.scheme, entry)
+                })
+                .collect();
+            let (tail_hits, tail_misses) = self.bound_skip(layer, &tail, &mut visited)?;
+            hits += tail_hits;
+            misses += tail_misses;
+            if keys.len() + tail.len() > 1 {
+                hits += 1;
             }
+            // `Scheme` derives `Ord` in declaration order, which is
+            // `Scheme::ALL` order.
+            let (_, winner) = visited
+                .into_iter()
+                .min_by_key(|(scheme, entry)| (entry.stats.cycles, *scheme))
+                .expect("every layer probes at least one key");
+            winners.push(winner);
         }
-        best.expect("probe_keys is non-empty")
+        self.cache.record(hits, misses);
+        Ok((hits, misses, winners))
     }
 
-    /// The pruned oracle's resolve: replay the bound-ordered visit with
-    /// the same speculative prefix and skip rule (everything visited is
-    /// cached by `plan_and_compile_pruned`), then pick the winner among
-    /// the simulated candidates in `Scheme::ALL` order with a strict `<`
-    /// — exactly the exhaustive Oracle's selection. A pruned scheme's
-    /// true cycle count strictly exceeds the final minimum, so every
-    /// minimum (and every `Scheme::ALL`-order tie for it) was simulated.
-    fn resolve_pruned(&self, layer: &Layer) -> Arc<CachedLayer> {
-        if layer.as_conv().is_none() {
-            let key = LayerKey::new(layer, Scheme::Inter, &self.cfg, &self.opts);
-            return self
-                .cache
-                .peek(&key)
-                .expect("plan_and_compile_pruned cached every non-conv key");
-        }
-        let order = self
-            .pruned_scheme_order(layer)
-            .expect("plan_and_compile_pruned already computed this order");
-        let spec_n = order.len().min(Self::PRUNED_SPECULATION);
-        let mut best_cycles: Option<u64> = None;
-        let mut simulated: Vec<(Scheme, Arc<CachedLayer>)> = Vec::new();
-        for (i, (bound, scheme)) in order.into_iter().enumerate() {
-            if i >= spec_n && best_cycles.is_some_and(|b| bound > b) {
-                continue;
+    /// The pruned oracle's serial tail for one layer: visits the schemes
+    /// after the probed one cheapest-bound-first and stops at the first
+    /// whose analytic lower bound exceeds the best simulated candidate.
+    /// Sound because the machine's total can never undercut its compute
+    /// cycles (`stats.cycles >= compute_cycles`): a skipped scheme's true
+    /// cycle count exceeds the best, so it can be neither the minimum nor
+    /// a tie for it. Bounds ascend while the best only falls, so every
+    /// later scheme would be skipped too. Returns the visits' `(hits,
+    /// misses)`; each miss compiles as its own one-key work-list.
+    fn bound_skip(
+        &self,
+        layer: &Layer,
+        tail: &[(u64, Scheme)],
+        visited: &mut Vec<(Scheme, Arc<CachedLayer>)>,
+    ) -> Result<(u64, u64), RunError> {
+        let mut hits = 0u64;
+        let mut misses = 0u64;
+        for &(bound, scheme) in tail {
+            let best = visited.iter().map(|(_, entry)| entry.stats.cycles).min();
+            if best.is_some_and(|b| bound > b) {
+                break;
             }
             let key = LayerKey::new(layer, scheme, &self.cfg, &self.opts);
+            if self.cache.contains(&key) {
+                hits += 1;
+            } else {
+                misses += 1;
+                self.compile_worklist(vec![(key, layer)])?;
+            }
             let entry = self
                 .cache
                 .peek(&key)
-                .expect("plan_and_compile_pruned cached every visited key");
-            best_cycles =
-                Some(best_cycles.map_or(entry.stats.cycles, |b| b.min(entry.stats.cycles)));
-            simulated.push((scheme, entry));
+                .expect("compile_worklist cached the key");
+            visited.push((scheme, entry));
         }
-        let mut best: Option<Arc<CachedLayer>> = None;
-        for scheme in Scheme::ALL {
-            let Some((_, entry)) = simulated.iter().find(|(s, _)| *s == scheme) else {
-                continue;
-            };
-            if best
-                .as_ref()
-                .is_none_or(|b| entry.stats.cycles < b.stats.cycles)
-            {
-                best = Some(Arc::clone(entry));
-            }
-        }
-        best.expect("at least one scheme is always simulated")
+        Ok((hits, misses))
     }
 
     /// Runs one layer in isolation (no layout-transform accounting).
@@ -595,8 +496,8 @@ impl Runner {
     ///
     /// Returns a [`RunError`] if the layer fails to compile.
     pub fn run_layer(&self, layer: &Layer, policy: Policy) -> Result<LayerReport, RunError> {
-        self.plan_and_compile(&[layer], policy)?;
-        let entry = self.resolve(layer, policy);
+        let (_, _, winners) = self.plan(&[layer], policy)?;
+        let entry = &winners[0];
         Ok(LayerReport {
             name: layer.name.clone(),
             scheme: entry.compiled.scheme,
@@ -656,22 +557,21 @@ impl Runner {
             });
         }
 
-        // Phase 1+2: deterministic accounting, then compile the unique
-        // misses (in parallel when opts.jobs > 1).
-        let (cache_hits, cache_misses) = self.plan_and_compile(&selected, policy)?;
+        // Deterministic accounting, the compiles, and every layer's
+        // winning entry.
+        let (cache_hits, cache_misses, winners) = self.plan(&selected, policy)?;
 
-        // Phase 3: serial merge in layer order. Every compile is a cache
-        // fetch now, so this pass is cheap and its output — including the
-        // layout-transform chain, which threads state layer to layer — is
-        // identical however phase 2 was scheduled.
+        // Serial merge in layer order. The plan resolved every layer, so
+        // this pass is cheap and its output — including the layout-
+        // transform chain, which threads state layer to layer — is
+        // identical however the compiles were scheduled.
         let mut layers = Vec::with_capacity(selected.len());
         let mut totals = Stats::new();
         // Layout of the tensor currently in memory: the raw image arrives in
         // whatever order the first layer wants (free choice at load time).
         let mut current_layout: Option<DataLayout> = None;
 
-        for layer in selected {
-            let entry = self.resolve(layer, policy);
+        for (layer, entry) in selected.into_iter().zip(winners) {
             let mut transform_cycles = 0;
             if let Some(prev) = current_layout {
                 let needs_transform = !self.opts.layout_planning

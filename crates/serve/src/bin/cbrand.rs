@@ -131,7 +131,6 @@ fn main() -> ExitCode {
         cache_path: cache_path(&args.cache),
         workers: args.workers,
         queue_depth: args.queue_depth,
-        busy_retry_ms: 0,
         metrics_addr: resolve_metrics_addr(args.metrics_addr, &cbrain::config::EnvConfig::load()),
     };
     let daemon = match Daemon::bind(&format!("{}:{}", args.host, args.port), opts) {

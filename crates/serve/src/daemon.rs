@@ -66,9 +66,10 @@ const DEFAULT_MIN_WORKERS: usize = 4;
 /// Ticket-queue bound when [`DaemonOptions::queue_depth`] is `0`.
 const DEFAULT_QUEUE_DEPTH: usize = 64;
 
-/// Per-unit-of-load retry hint when [`DaemonOptions::busy_retry_ms`] is
-/// `0`.
-const DEFAULT_BUSY_RETRY_MS: u64 = 25;
+/// Per-unit-of-load retry hint: a shed answer asks the client to wait
+/// this long times the daemon's current load (queued + in-flight
+/// requests + 1).
+const BUSY_RETRY_MS: u64 = 25;
 
 /// Ceiling on the `retry_after_ms` hint: the daemon never asks a client
 /// to stay away longer than this, however deep the backlog.
@@ -119,10 +120,6 @@ pub struct DaemonOptions {
     /// the worker pool at which new connections are shed with `busy`;
     /// shedding stops again at half of it.
     pub queue_depth: usize,
-    /// Base retry hint in milliseconds; the shed answer scales it by the
-    /// daemon's current load (queued + in-flight requests). `0`
-    /// resolves to 25.
-    pub busy_retry_ms: u64,
     /// Bind address for the Prometheus text-format exposition listener
     /// (`GET /metrics` over HTTP/1.0). `None` disables the listener.
     /// Resolve flag > `CBRAIN_METRICS_ADDR` > none with
@@ -223,7 +220,6 @@ struct Admission {
     /// The resolved queue depth: ticket depth (and occupancy above the
     /// worker pool) at which shedding starts.
     high_water: usize,
-    busy_retry_ms: u64,
     accepted: Arc<Counter>,
     shed: Arc<Counter>,
     in_flight: Arc<Gauge>,
@@ -231,11 +227,10 @@ struct Admission {
 }
 
 impl Admission {
-    fn new(high_water: usize, busy_retry_ms: u64, registry: &Registry) -> Self {
+    fn new(high_water: usize, registry: &Registry) -> Self {
         Self {
             tickets: TicketQueue::new(),
             high_water,
-            busy_retry_ms,
             accepted: registry.counter(
                 "admission_accepted_total",
                 "connections admitted for service (shed arrivals count separately)",
@@ -562,11 +557,6 @@ impl Daemon {
         } else {
             opts.queue_depth
         };
-        let busy_retry_ms = if opts.busy_retry_ms == 0 {
-            DEFAULT_BUSY_RETRY_MS
-        } else {
-            opts.busy_retry_ms
-        };
         let registry = Arc::new(Registry::new());
         let request_seconds = REQUEST_KINDS
             .iter()
@@ -584,7 +574,7 @@ impl Daemon {
         let state = Arc::new(ServerState {
             cache,
             batcher: Arc::new(CompileBatcher::with_registry(opts.jobs, &registry)),
-            admission: Admission::new(queue_depth, busy_retry_ms, &registry),
+            admission: Admission::new(queue_depth, &registry),
             requests: registry.counter("requests_total", "protocol requests decoded since startup"),
             progress: ProgressCounters::new(&registry),
             registry: Arc::clone(&registry),
@@ -1399,12 +1389,7 @@ impl Reactor<'_> {
         // told to vanish for whole seconds.
         let load = self.state.admission.in_flight.get_clamped() + depth + 1;
         let busy = Event::Busy {
-            retry_after_ms: self
-                .state
-                .admission
-                .busy_retry_ms
-                .saturating_mul(load)
-                .min(MAX_RETRY_HINT_MS),
+            retry_after_ms: BUSY_RETRY_MS.saturating_mul(load).min(MAX_RETRY_HINT_MS),
             queue_depth: depth,
         };
         if let Ok(mut io) = Connection::new(stream, MAX_REQUEST_LINE) {

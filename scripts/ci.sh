@@ -352,6 +352,17 @@ if [[ $quick -eq 0 ]]; then
         exit 1
     fi
 
+    # The pruned oracle through the fleet: its first visits reach the
+    # shards as one batch, then its bound-skip tail as one-key batches.
+    ./target/release/cbrain run --policy oracle-pruned \
+        --spec specs/mobilenet_dw.spec >"$fleet_dir/direct_pruned.txt"
+    ./target/release/cbrain fleet-client --shards "$shards" --policy oracle-pruned \
+        --spec specs/mobilenet_dw.spec >"$fleet_dir/fleet_pruned.txt" 2>/dev/null
+    if ! diff -u "$fleet_dir/direct_pruned.txt" "$fleet_dir/fleet_pruned.txt"; then
+        echo "error: 3-shard oracle-pruned report differs from cbrain run" >&2
+        exit 1
+    fi
+
     # SIGKILL one shard while a vgg run is in flight: the client must
     # reroute its keys and still render the byte-identical report.
     ./target/release/cbrain run --spec specs/vgg16.spec >"$fleet_dir/direct_vgg16.txt"

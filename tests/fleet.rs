@@ -104,7 +104,9 @@ fn three_shard_fleet_is_byte_identical_for_every_zoo_network() {
             net.name()
         );
     }
-    // Search policies exercise the speculative compile batches too.
+    // Search policies send other batch shapes: the Oracle's four keys
+    // per conv layer, and the pruned oracle's batched first visits
+    // followed by one-key tail compiles.
     for policy in [Policy::Oracle, Policy::OraclePruned] {
         for net in [zoo::alexnet(), zoo::nin()] {
             assert_eq!(

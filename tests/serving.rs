@@ -183,7 +183,6 @@ fn overloaded_daemon_sheds_with_busy_yet_every_client_converges() {
             jobs: 1,
             workers: 2,
             queue_depth: 1,
-            busy_retry_ms: 5,
             ..DaemonOptions::default()
         },
     )
@@ -547,7 +546,6 @@ fn shed_flood_counts_exactly_in_metrics() {
             jobs: 1,
             workers: 2,
             queue_depth: 1,
-            busy_retry_ms: 5,
             ..DaemonOptions::default()
         },
     )
@@ -701,7 +699,6 @@ fn idle_soak_keepalive_connections_stay_cheap_under_flood() {
             jobs: 1,
             workers: 2,
             queue_depth: 1,
-            busy_retry_ms: 5,
             ..DaemonOptions::default()
         },
     )
